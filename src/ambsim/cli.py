@@ -137,8 +137,12 @@ def parse_config(path) -> ExperimentSpec:
     if isinstance(rounds, list):
         if len(rounds) != 3 or rounds[0] != "uniform":
             raise ConfigError("key 'consensus.rounds' list form is ['uniform', low, high]")
-    elif not (rounds == "exact" or (isinstance(rounds, int) and not isinstance(rounds, bool))):
-        raise ConfigError("key 'consensus.rounds' must be an int, 'exact', or ['uniform', low, high]")
+        counts = rounds[1:]
+    else:
+        counts = [] if rounds == "exact" else [rounds]
+    if not all(type(c) is int and c >= 1 for c in counts) or counts != sorted(counts):
+        raise ConfigError("key 'consensus.rounds' must be an integer >= 1, 'exact', or "
+                          f"['uniform', low, high] with integers 1 <= low <= high, got {rounds!r}")
     if not isinstance(cons["exact_batch_norm"], bool):
         raise ConfigError("key 'consensus.exact_batch_norm' must be a boolean")
 
@@ -323,7 +327,7 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
                                  compute_time if compute_time is not None else 1.0, mode)
     rounds = spec.consensus["rounds"]
     if isinstance(rounds, list):
-        rounds = (rounds[0], int(rounds[1]), int(rounds[2]))
+        rounds = tuple(rounds)
     if mode == "serial":
         rounds = "exact"
     return engine.RunConfig(

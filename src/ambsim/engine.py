@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dualavg, metrics, seeding
-from .topology import ConsensusMatrix, Graph, build_consensus_matrix
+from .topology import ConsensusMatrix, Graph, build_consensus_matrix, row_supports
 
 __all__ = [
     "RunConfig",
@@ -171,18 +171,32 @@ def matched_compute_time(batch: int, n: int, mean_batch_time: float) -> float:
     return (1.0 + n / batch) * mean_batch_time
 
 
-def average_consensus(matrix: np.ndarray, values: np.ndarray, rounds: int) -> np.ndarray:
+def average_consensus(matrix, values: np.ndarray, rounds: int) -> np.ndarray:
     """Apply ``rounds`` synchronous averaging steps to per-node rows.
 
-    The multiply is written elementwise so the reduction order never
-    depends on BLAS threading; the column means of ``values`` are exact
-    invariants of every step (within float error).
+    ``matrix`` is a :class:`ConsensusMatrix` or a dense mixing matrix. Each
+    step equals the dense elementwise product bit for bit, so the result
+    never depends on BLAS threading, and the column means of ``values`` are
+    exact invariants of every step (within float error). Rows of d != 1
+    entries gather each row's nonzero columns and add their products in
+    ascending column order, in O(|E| d): that is the order in which
+    ``(p[:, :, None] * values[None]).sum(axis=1)`` adds the middle axis, so
+    skipping its zero terms moves no bit. Scalars and single-entry rows keep
+    the O(n^2) dense row reduction, because numpy sums a contiguous last
+    axis pairwise and a sequential sum would round differently.
     """
+    if isinstance(matrix, ConsensusMatrix):
+        p, columns, weights = matrix.matrix, matrix.columns, matrix.weights
+    else:
+        p = np.asarray(matrix, dtype=float)
+        columns, weights = row_supports(p)
     out = np.asarray(values, dtype=float)
-    stacked = out if out.ndim == 2 else out[:, None]
     for _ in range(rounds):
-        stacked = (matrix[:, :, None] * stacked[None, :, :]).sum(axis=1)
-    return stacked if out.ndim == 2 else stacked[:, 0]
+        if out.ndim == 2 and out.shape[1] != 1:
+            out = (weights[:, :, None] * out[columns]).sum(axis=0)
+        else:
+            out = (p * out.reshape(1, -1)).sum(axis=1).reshape(out.shape)
+    return out
 
 
 def _resolve_rounds(config: RunConfig, t: int) -> np.ndarray:
@@ -199,8 +213,8 @@ def _resolve_rounds(config: RunConfig, t: int) -> np.ndarray:
     )
 
 
-def _consensus_phase(config: RunConfig, matrix: np.ndarray, messages: np.ndarray,
-                     scalars: np.ndarray, rounds_per_node: np.ndarray):
+def _consensus_phase(config: RunConfig, messages: np.ndarray, scalars: np.ndarray,
+                     rounds_per_node: np.ndarray):
     """Run the consensus rounds; each node reads its row after its own count.
 
     Returns per-node message rows and scalar estimates.
@@ -215,8 +229,8 @@ def _consensus_phase(config: RunConfig, matrix: np.ndarray, messages: np.ndarray
     max_rounds = int(rounds_per_node.max())
     m, s = messages, scalars
     for k in range(1, max_rounds + 1):
-        m = (matrix[:, :, None] * m[None, :, :]).sum(axis=1)
-        s = (matrix * s[None, :]).sum(axis=1)
+        m = average_consensus(config.matrix, m, 1)
+        s = average_consensus(config.matrix, s, 1)
         done = rounds_per_node == k
         out_msg[done] = m[done]
         out_scalar[done] = s[done]
@@ -297,7 +311,6 @@ def _dual_update(config: RunConfig, state: EngineState, t: int,
     """
     n = config.graph.n
     dim = config.objective.dim
-    matrix = config.matrix.matrix if config.matrix is not None else None
     global_batch = int(batch_sizes.sum())
     rounds_per_node = _resolve_rounds(config, t)
     empty = global_batch == 0
@@ -315,7 +328,7 @@ def _dual_update(config: RunConfig, state: EngineState, t: int,
                 messages[i] = n * batch_sizes[i] * (duals[i] + grads[i])
         scalars = n * batch_sizes.astype(float)
 
-    out_msg, out_scalar = _consensus_phase(config, matrix, messages, scalars, rounds_per_node)
+    out_msg, out_scalar = _consensus_phase(config, messages, scalars, rounds_per_node)
 
     # Error-free dual: batch-weighted average of dual-plus-gradient.
     if empty:

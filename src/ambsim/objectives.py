@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeding
 
 __all__ = [
-    "ObjectiveConstants",
     "EstimatedConstants",
     "EmptyBatchError",
     "LinearRegressionObjective",
@@ -40,36 +39,12 @@ class EmptyBatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class ObjectiveConstants:
-    """Regularity constants attached to a model.
-
-    ``loss_lipschitz`` bounds ``|f(w, x) - f(w', x)|`` by a multiple of
-    ``||w - w'||``; ``grad_smoothness`` does the same for gradients;
-    ``grad_variance`` bounds the second moment of the gradient noise.
-    Entries left as None are unknown and can be filled from
-    :func:`estimate_constants`. ``optimum_value`` is the objective value
-    at the minimizer when it is known analytically.
-    """
-
-    loss_lipschitz: float | None = None
-    grad_smoothness: float | None = None
-    grad_variance: float | None = None
-    optimum_value: float | None = None
-
-
-@dataclass(frozen=True)
 class EstimatedConstants:
     grad_smoothness: float
     loss_lipschitz: float
     grad_variance: float
     probe_count: int
     radius: float
-
-
-def _pairwise_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    # np.mean uses pairwise summation with a fixed order; kept as a single
-    # chokepoint so every batch reduction in the package shares it.
-    return np.mean(values, axis=axis)
 
 
 class LinearRegressionObjective:
@@ -93,7 +68,6 @@ class LinearRegressionObjective:
         self.noise_var = float(noise_var)
         self.seed = int(seed)
         self.w_star = seeding.substream(seed, seeding.MODEL).standard_normal(dim)
-        self.constants = ObjectiveConstants(optimum_value=noise_var / 2.0)
 
     @property
     def optimum_value(self) -> float:
@@ -138,7 +112,7 @@ class LinearRegressionObjective:
 
     def grad_mean(self, w, x, y) -> np.ndarray:
         residual = (x * w).sum(axis=1) - y
-        return _pairwise_mean(x * residual[:, None], axis=0)
+        return np.mean(x * residual[:, None], axis=0)
 
 
 class MulticlassLogisticObjective:
@@ -167,7 +141,6 @@ class MulticlassLogisticObjective:
         self.feat_dim = int(feat_dim)
         self.dim = self.classes * self.feat_dim
         self.seed = int(seed)
-        self.constants = ObjectiveConstants()
         if data is None:
             rng = seeding.substream(seed, seeding.MODEL)
             self.centers = cluster_spread * rng.standard_normal((classes, feat_dim - 1))
@@ -246,7 +219,7 @@ class MulticlassLogisticObjective:
         probs[np.arange(x.shape[0]), y] -= 1.0
         grad = np.empty((self.classes, self.feat_dim))
         for cls in range(self.classes):
-            grad[cls] = _pairwise_mean(x * probs[:, cls, None], axis=0)
+            grad[cls] = np.mean(x * probs[:, cls, None], axis=0)
         return grad.reshape(self.dim)
 
 
@@ -314,8 +287,8 @@ def gradient_variance_at(model, w, sample_count: int, seed: int) -> float:
     x, y = model.draw_with(rng_a, rng_b, sample_count)
     w = np.asarray(w, dtype=float)
     grads = np.stack([model.sample_grad(w, x[i], y[i]) for i in range(sample_count)])
-    center = _pairwise_mean(grads, axis=0)
-    return float(_pairwise_mean(((grads - center) ** 2).sum(axis=1)))
+    center = np.mean(grads, axis=0)
+    return float(np.mean(((grads - center) ** 2).sum(axis=1)))
 
 
 def estimate_constants(model, probe_count: int, seed: int, radius: float = 1.0) -> EstimatedConstants:
@@ -370,9 +343,3 @@ def estimate_constants(model, probe_count: int, seed: int, radius: float = 1.0) 
         probe_count=probe_count,
         radius=radius,
     )
-
-
-def with_constants(model, **updates):
-    """Return the model with its constants record updated (model itself reused)."""
-    model.constants = replace(model.constants, **updates)
-    return model

@@ -21,6 +21,7 @@ __all__ = [
     "load_edge_list",
     "weight_matrix",
     "build_consensus_matrix",
+    "row_supports",
     "second_eigenvalue",
     "min_consensus_rounds",
 ]
@@ -156,10 +157,13 @@ def load_edge_list(path) -> Graph:
 
 @dataclass(frozen=True)
 class ConsensusMatrix:
-    """A validated mixing matrix together with its second eigenvalue."""
+    """A validated mixing matrix, its second eigenvalue and its row supports
+    (``columns`` and ``weights``, as returned by :func:`row_supports`)."""
 
     matrix: np.ndarray
     lambda2: float
+    columns: np.ndarray
+    weights: np.ndarray
 
     @property
     def n(self) -> int:
@@ -185,18 +189,15 @@ def weight_matrix(graph: Graph, scheme: str = "lazy-metropolis") -> np.ndarray:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown weighting scheme {scheme!r}; choose from {SCHEMES}")
     n = graph.n
-    deg = np.array([graph.degree(i) for i in range(n)], dtype=float)
-    p = np.zeros((n, n))
-    if scheme in ("metropolis", "lazy-metropolis"):
-        for i, j in graph.edges:
-            w = 1.0 / (1.0 + max(deg[i], deg[j]))
-            p[i, j] = w
-            p[j, i] = w
+    i, j = np.array(sorted(graph.edges), dtype=int).reshape(-1, 2).T
+    deg = np.bincount(np.concatenate([i, j]), minlength=n).astype(float)
+    if scheme == "uniform":
+        w = 1.0 / (deg.max() + 1.0)
     else:
-        w = 1.0 / (deg.max() + 1.0) if n > 1 else 1.0
-        for i, j in graph.edges:
-            p[i, j] = w
-            p[j, i] = w
+        w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    p = np.zeros((n, n))
+    p[i, j] = w
+    p[j, i] = w
     np.fill_diagonal(p, 1.0 - p.sum(axis=1))
     if scheme == "lazy-metropolis":
         p = (np.eye(n) + p) / 2.0
@@ -232,17 +233,38 @@ def build_consensus_matrix(graph: Graph, scheme: str = "lazy-metropolis") -> Con
     lam2 = second_eigenvalue(p)
     if n > 1 and lam2 >= 1.0:
         raise ValueError(f"{scheme}: second eigenvalue {lam2} >= 1, matrix does not mix")
-    return ConsensusMatrix(matrix=p, lambda2=lam2)
+    return ConsensusMatrix(p, lam2, *row_supports(p))
 
 
-def second_eigenvalue(p, tol: float = 1e-9, max_iter: int = 100_000) -> float:
-    """Second-largest eigenvalue of a symmetric doubly stochastic matrix.
+def row_supports(p: np.ndarray) -> tuple:
+    """Each row's nonzero columns in ascending order, with their entries.
 
-    Power iteration on the complement of the all-ones direction, with a
-    fixed seeded start vector so results are reproducible. Converges when
-    the eigen-residual drops below ``tol`` (absolute). For a single node
-    the value is 0 by convention. A returned value of 1.0 flags a matrix
-    that does not mix (for example the identity).
+    Returns ``(columns, weights)`` shaped ``(k, n)``: ``columns[c, i]`` is
+    the c-th nonzero column of row ``i`` and ``weights[c, i]`` its entry, so
+    a consensus round gathers from neighbours in O(|E| d). Rows with fewer
+    than ``k`` nonzeros are padded after their last neighbour with their own
+    index and weight 0.
+    """
+    n = p.shape[0]
+    supports = [np.flatnonzero(p[i]) for i in range(n)]
+    k = max(len(cols) for cols in supports)
+    columns = np.tile(np.arange(n), (k, 1))
+    weights = np.zeros((k, n))
+    for i, cols in enumerate(supports):
+        columns[: len(cols), i] = cols
+        weights[: len(cols), i] = p[i, cols]
+    return columns, weights
+
+
+def second_eigenvalue(p) -> float:
+    """Second eigenvalue of a symmetric doubly stochastic matrix.
+
+    The entry of the spectrum with the second-largest modulus, read from
+    one dense symmetric eigensolve (``numpy.linalg.eigvalsh``). Exact ties
+    in modulus go to the larger eigenvalue, so the spectrum
+    {1, 1/3, 1/3, -1/3} gives 1/3. For a single node the value is 0 by
+    convention. A returned value of 1.0 flags a matrix that does not mix
+    (for example the identity).
     """
     a = p.matrix if isinstance(p, ConsensusMatrix) else np.asarray(p, dtype=float)
     n = a.shape[0]
@@ -250,26 +272,8 @@ def second_eigenvalue(p, tol: float = 1e-9, max_iter: int = 100_000) -> float:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if n == 1:
         return 0.0
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0x5EED)))
-    v = rng.standard_normal(n)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    for _ in range(max_iter):
-        # Row-wise elementwise product keeps the reduction order fixed
-        # independent of any BLAS threading.
-        w = (a * v).sum(axis=1)
-        w -= w.mean()
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            return 0.0
-        w /= norm
-        aw = (a * w).sum(axis=1)
-        rayleigh = float(w @ aw)
-        residual = float(np.linalg.norm(aw - rayleigh * w))
-        if residual <= tol:
-            return rayleigh
-        v = w
-    raise RuntimeError(f"power iteration did not converge within {max_iter} iterations")
+    spectrum = np.linalg.eigvalsh(a)
+    return float(spectrum[np.argsort(np.abs(spectrum), kind="stable")[-2]])
 
 
 def min_consensus_rounds(n: int, func_lipschitz: float, eps: float, lambda2: float) -> int:

@@ -170,6 +170,15 @@ class TestSubcommands:
         assert cli.main(["run", str(path)]) == 1
         assert "mystery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rounds", [["uniform", 2.7, 3.9], ["uniform", "a", 3], 0,
+                                        ["uniform", 4, 2], ["uniform", 0, 2],
+                                        ["uniform", True, 2], 2.0])
+    def test_bad_round_counts_name_the_key(self, tmp_path, capsys, rounds):
+        path = full_config(tmp_path, tmp_path / "out", consensus={"rounds": rounds})
+        assert cli.main(["run", str(path)]) == 1
+        assert "consensus.rounds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_topology_subcommand(self, tmp_path, capsys):
         edgefile = tmp_path / "g.txt"
         edgefile.write_text("3\n0 1\n1 2\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ambsim import dualavg, engine, objectives, timing, topology
+from test_topology import random_connected_graph
 
 
 def small_config(**overrides):
@@ -94,6 +95,40 @@ class TestConsensus:
         for r in range(1, 21):
             out = engine.average_consensus(cm.matrix, values, r)
             assert np.linalg.norm(out - mean) <= cm.lambda2**r * initial * (1 + 1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 50, 210])
+    def test_sparse_step_matches_dense_product_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        graphs = [topology.testbed_graph(), topology.ring_graph(150),
+                  topology.complete_graph(12)]
+        graphs += [random_connected_graph(rng, n) for n in (5, 17, 40)]
+        for g in graphs:
+            cm = topology.build_consensus_matrix(g)
+            values = rng.standard_normal((g.n, dim)) * rng.uniform(0.1, 100)
+            values[rng.random(g.n) < 0.3] = 0.0  # nodes with b_i = 0 send zero rows
+            dense, sparse = values, values
+            for _ in range(8):
+                dense = (cm.matrix[:, :, None] * dense[None, :, :]).sum(axis=1)
+                sparse = engine.average_consensus(cm, sparse, 1)
+                assert np.array_equal(sparse.view(np.uint64), dense.view(np.uint64))
+            from_dense = engine.average_consensus(cm.matrix, values, 8)
+            assert np.array_equal(from_dense.view(np.uint64), dense.view(np.uint64))
+
+    def test_scalar_and_single_entry_rows_keep_row_reduction(self):
+        rng = np.random.default_rng(4)
+        for g in (topology.testbed_graph(), topology.ring_graph(150),
+                  random_connected_graph(rng, 23)):
+            cm = topology.build_consensus_matrix(g)
+            scalars = rng.uniform(0, 500, size=g.n)
+            scalars[rng.random(g.n) < 0.3] = 0.0
+            ref, rows = scalars, scalars[:, None]
+            for _ in range(8):
+                ref = (cm.matrix * ref[None, :]).sum(axis=1)
+                rows = (cm.matrix[:, :, None] * rows[None, :, :]).sum(axis=1)
+            assert np.array_equal(rows[:, 0].view(np.uint64), ref.view(np.uint64))
+            for out in (engine.average_consensus(cm.matrix, scalars, 8),
+                        engine.average_consensus(cm, scalars[:, None], 8)[:, 0]):
+                assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
     def test_exact_mode_matches_error_free_dual(self):
         cfg = small_config(rounds="exact", tau=4)

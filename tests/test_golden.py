@@ -93,7 +93,7 @@ GOLDEN = {
     "complete_exact_fmb": {
         "fmb_seed13.csv": "a1e7d57d67000df2de19dfae61353e2b529ed3a6ae8446a3e09effb8d7d66a77",
         "fmb_seed13_nodes.csv": "1a8484d19da5e0715f7eb3ce6e09effe748e0eeeffd9ece87ff19fcc8311e7b8",
-        "summary.csv": "00fab0f3cf9b98baa80ad875e926098ffd990f35b4d03d18468fa5d72cb1689e",
+        "summary.csv": "8bd3e6b2654080aa643f3d217c5a98c91ae93dc3c78f724809b9ef95b4a87e99",
     },
     "paused_compare": {
         "amb_seed1.csv": "a42d68b172151eb84e85bb3d6535ad7917c6686b39ac799251d8739d6dbadbdb",
@@ -110,7 +110,7 @@ GOLDEN = {
     "ring30_uniform": {
         "amb_seed9.csv": "ea95471904c2d4754aa9aeee75d09215a6422e26d55dd49236bada842fc16f37",
         "amb_seed9_nodes.csv": "95d3cc0cf65be5aae0b61abea616eeab0ce885e2334fd0700c9c02d7f92adafd",
-        "summary.csv": "8aaec9620681c4562f68642f6e9f247282ac3a96df227a84252263df897a9330",
+        "summary.csv": "920a597725b5d46844f09d5253abdfc77216b44bf77cd32d8e4894522fa56b3c",
     },
     "serial_softmax": {
         "serial_seed5.csv": "f4fc52cf9ace3957d0d1bfffd7544fd5dfc937ecec8f6db39cfea5f4b6f71782",

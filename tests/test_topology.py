@@ -1,4 +1,5 @@
 import math
+import time
 from decimal import ROUND_CEILING, Decimal, getcontext
 
 import numpy as np
@@ -153,6 +154,34 @@ class TestConsensusMatrix:
         cm = topology.build_consensus_matrix(g, "uniform")
         assert np.linalg.eigvalsh(cm.matrix)[0] >= -1e-10
 
+    def test_weight_matrix_matches_per_node_degree_reference(self):
+        rng = np.random.default_rng(5)
+        graphs = [topology.testbed_graph(), topology.ring_graph(7), topology.complete_graph(5),
+                  random_connected_graph(rng, 12)]
+        for g in graphs:
+            deg = [g.degree(i) for i in range(g.n)]
+            for scheme in topology.SCHEMES:
+                ref = np.zeros((g.n, g.n))
+                for i, j in g.edges:
+                    if scheme == "uniform":
+                        ref[i, j] = ref[j, i] = 1.0 / (max(deg) + 1.0)
+                    else:
+                        ref[i, j] = ref[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+                np.fill_diagonal(ref, 1.0 - ref.sum(axis=1))
+                if scheme == "lazy-metropolis":
+                    ref = (np.eye(g.n) + ref) / 2.0
+                got = topology.weight_matrix(g, scheme)
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_row_supports_list_nonzeros_in_ascending_order(self):
+        cm = topology.build_consensus_matrix(topology.testbed_graph())
+        assert cm.columns.shape == cm.weights.shape == (7, 10)
+        for i, neighbours in enumerate(topology.testbed_graph().neighbor_lists()):
+            cols = sorted(neighbours + [i])
+            assert list(cm.columns[: len(cols), i]) == cols
+            assert np.array_equal(cm.weights[: len(cols), i], cm.matrix[i, cols])
+            assert not cm.weights[len(cols):, i].any()
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown weighting scheme"):
             topology.weight_matrix(topology.complete_graph(3), "magic")
@@ -179,6 +208,17 @@ class TestSecondEigenvalue:
             p = topology.weight_matrix(g, "lazy-metropolis")
             oracle = np.linalg.eigvalsh(p)[-2]
             assert topology.second_eigenvalue(p) == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("scheme", ["metropolis", "uniform"])
+    def test_tied_spectrum_returns_positive_third(self, scheme):
+        # The 4-cycle's spectrum is {1, 1/3, 1/3, -1/3}: two eigenvalues tie
+        # in modulus with opposite signs, which no power iteration settles.
+        p = topology.weight_matrix(topology.ring_graph(4), scheme)
+        start = time.perf_counter()
+        lam = topology.second_eigenvalue(p)
+        assert time.perf_counter() - start < 0.5
+        assert lam == pytest.approx(1 / 3, abs=1e-12)
+        assert lam == sorted(np.linalg.eigvalsh(p), key=abs)[-2]
 
     def test_testbed_metropolis_matches_reference_value(self):
         # Diagnostic: the plain metropolis weights on the testbed graph mix
