@@ -58,6 +58,8 @@ def _get(section: dict, key: str, path: str, kind, default="__required__"):
         value = float(value)
     if kind is not None and not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"key '{path}.{key}' must be {getattr(kind, '__name__', kind)}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"key '{path}.{key}' must be finite, got {value!r}")
     return value
 
 
@@ -65,9 +67,18 @@ def _number_or_auto(section, key, path, default):
     value = section.get(key, default)
     if value == "auto":
         return "auto"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key '{path}.{key}' must be a number or 'auto', got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"key '{path}.{key}' must be a finite number or 'auto', got {value!r}")
     return float(value)
+
+
+def _number_list(section, key, path, minimum=-math.inf):
+    values = _get(section, key, path, list)
+    if not all(type(v) in (int, float) and math.isfinite(v) and v >= minimum for v in values):
+        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+        raise ConfigError(f"key '{path}.{key}' must be a list of finite numbers{bound}, "
+                          f"got {values!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -160,10 +171,17 @@ def parse_config(path) -> ExperimentSpec:
     elif tkind == "grouped_pause":
         _check_keys(tim, {"kind", "group_means", "group_vars", "assignment",
                           "base_gradient_time"}, "timing")
-        _get(tim, "group_means", "timing", list)
-        _get(tim, "assignment", "timing", list)
-        tim.setdefault("group_vars", [float((j + 1) ** 2) for j in range(len(tim["group_means"]))])
+        means = _number_list(tim, "group_means", "timing")
+        tim.setdefault("group_vars", [float((j + 1) ** 2) for j in range(len(means))])
+        if len(_number_list(tim, "group_vars", "timing", minimum=0.0)) != len(means):
+            raise ConfigError("key 'timing.group_vars' must have one entry per group mean")
+        assignment = _get(tim, "assignment", "timing", list)
+        if not all(type(j) is int and 0 <= j < len(means) for j in assignment):
+            raise ConfigError(f"key 'timing.assignment' must list group indices in "
+                              f"[0, {len(means)}), got {assignment!r}")
         tim.setdefault("base_gradient_time", 5.0)
+        if not _get(tim, "base_gradient_time", "timing", float) > 0:
+            raise ConfigError("key 'timing.base_gradient_time' must be positive")
     elif tkind == "trace":
         _check_keys(tim, {"kind", "path", "reference_batch"}, "timing")
         _get(tim, "path", "timing", str)
@@ -200,6 +218,10 @@ def parse_config(path) -> ExperimentSpec:
     out.setdefault("seeds", None)
     out.setdefault("paired", False)
     out.setdefault("bound_report", False)
+    if type(out["repeats"]) is not int or out["repeats"] < 1:
+        raise ConfigError(f"key 'output.repeats' must be an integer >= 1, got {out['repeats']!r}")
+    for key in ("paired", "bound_report"):
+        _get(out, key, "output", bool)
     if out["seeds"] is not None:
         seeds = out["seeds"]
         if not isinstance(seeds, list) or len(set(seeds)) != len(seeds):
@@ -318,6 +340,12 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     mode = mode or spec.mode
     model = build_objective(spec.objective)
     graph = topology.complete_graph(1) if mode == "serial" else build_graph(spec.topology)
+    if spec.timing["kind"] == "grouped_pause":
+        # Serial mode runs node 0 of the configured assignment.
+        assigned = len(spec.timing["assignment"])
+        if assigned != graph.n and not (mode == "serial" and assigned):
+            raise ConfigError(f"key 'timing.assignment' has {assigned} entries, "
+                              f"but the graph has {graph.n} nodes")
     tmodel = build_timing(spec.timing)
     radius = _resolve_radius(spec, model)
     compute_time = None
@@ -431,10 +459,21 @@ def run_experiment(spec: ExperimentSpec) -> int:
     os.makedirs(outdir, exist_ok=True)
     summary = [SUMMARY_HEADER]
     compare_rows = [COMPARE_HEADER]
+    matrix = None
+
+    def configured(seed, mode=None):
+        # Every run of one experiment shares its graph and scheme, so the
+        # mixing matrix is built and validated once.
+        nonlocal matrix
+        config = build_run_config(spec, seed, mode)
+        if matrix is None:
+            matrix = topology.build_consensus_matrix(config.graph, config.scheme)
+        return replace(config, matrix=matrix)
+
     for seed in _seeds(spec):
         if spec.output["paired"]:
-            trace_a = engine.run(build_run_config(spec, seed, mode="amb"))
-            trace_f = engine.run(build_run_config(spec, seed, mode="fmb"))
+            trace_a = engine.run(configured(seed, "amb"))
+            trace_f = engine.run(configured(seed, "fmb"))
             for trace, tag in ((trace_a, "amb"), (trace_f, "fmb")):
                 write_trace_csv(trace, os.path.join(outdir, f"{tag}_seed{seed}.csv"))
                 write_nodes_csv(trace, os.path.join(outdir, f"{tag}_seed{seed}_nodes.csv"))
@@ -456,7 +495,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
                 _fmt(cross),
             ]))
         else:
-            trace = engine.run(build_run_config(spec, seed))
+            trace = engine.run(configured(seed))
             write_trace_csv(trace, os.path.join(outdir, f"{spec.mode}_seed{seed}.csv"))
             write_nodes_csv(trace, os.path.join(outdir, f"{spec.mode}_seed{seed}_nodes.csv"))
             summary.append(_summary_row(seed, trace))

@@ -11,8 +11,8 @@ phase every node maps its new dual variable to the primal ball.
 Gradients are computed for real; only the clock is simulated. A run is a
 pure function of its config, including the seed: per-node work may be
 reordered or parallelized without changing a single output bit because
-every random draw is addressed by (stream, node, epoch) and every
-reduction has a fixed order.
+every random draw is addressed by (stream, node, epoch), or by its index in
+a block drawn from one such address, and every reduction has a fixed order.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class RunConfig:
     ``rounds`` is an int (same round count at every node), the string
     ``"exact"`` (idealized averaging, equivalent to infinitely many
     rounds), or ``("uniform", low, high)`` for per-node counts drawn
-    uniformly from [low, high] each epoch. ``exact_batch_norm`` divides
+    uniformly from [low, high] each epoch: node i's count in epoch t is
+    element i of stream ``(ROUNDS, t)``. ``exact_batch_norm`` divides
     consensus output by the true global batch instead of each node's
     scalar-consensus estimate. ``holdout`` samples are drawn once per run
     for the error-versus-wall-time series (0 disables it).
@@ -77,10 +78,13 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.tau < 0:
             raise ValueError(f"epoch count must be non-negative, got {self.tau}")
-        if self.comm_time < 0:
-            raise ValueError(f"communication time must be non-negative, got {self.comm_time}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 <= self.comm_time < math.inf:
+            raise ValueError(f"communication time must be finite and non-negative, "
+                             f"got {self.comm_time}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if self.compute_time is not None and not math.isfinite(self.compute_time):
+            raise ValueError(f"compute time must be finite, got {self.compute_time}")
         if self.mode in ("amb", "serial"):
             if self.compute_time is None or self.compute_time <= 0:
                 raise ValueError(f"{self.mode} mode requires a positive compute_time")
@@ -206,11 +210,7 @@ def _resolve_rounds(config: RunConfig, t: int) -> np.ndarray:
     if isinstance(config.rounds, int):
         return np.full(n, config.rounds, dtype=int)
     _, low, high = config.rounds
-    return np.array(
-        [int(seeding.substream(config.seed, seeding.ROUNDS, i, t).integers(low, high + 1))
-         for i in range(n)],
-        dtype=int,
-    )
+    return seeding.substream(config.seed, seeding.ROUNDS, t).integers(low, high + 1, size=n)
 
 
 def _consensus_phase(config: RunConfig, messages: np.ndarray, scalars: np.ndarray,

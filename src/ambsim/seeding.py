@@ -4,6 +4,12 @@ Each stochastic quantity (a batch time, a data sample, a pause, ...) is
 drawn from a generator derived from a root seed plus an integer path
 (stream tag, node, epoch, ...). Draws therefore never depend on execution
 order, host parallelism, or how many values another component consumed.
+
+Some families draw a block from one address instead of one scalar per
+address. The pause after gradient k of node i in epoch t is element k of
+stream ``(PAUSES, i, t)``, and node i's consensus round count in epoch t
+is element i of stream ``(ROUNDS, t)``. numpy's block draws are
+prefix-stable, so an element never depends on the block's length.
 """
 
 from __future__ import annotations

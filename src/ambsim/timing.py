@@ -190,7 +190,9 @@ class GroupedPauseTiming:
     """Fixed per-gradient compute time plus a grouped random pause after each gradient.
 
     Node ``i`` belongs to group ``assignment[i]``; after every gradient it
-    pauses for ``max(0, N(group_means[j], group_vars[j]))``. Inside a
+    pauses for ``max(0, N(group_means[j], group_vars[j]))``. The pause
+    after gradient k of node i in epoch t is element k of the stream
+    ``(PAUSES, i, t)``, drawn as one block per window. Inside a
     fixed compute window the pause is additionally truncated at the window
     end (the node stays idle until the deadline). The base gradient time
     sets the absolute scale, which the pause statistics alone do not pin
@@ -207,8 +209,14 @@ class GroupedPauseTiming:
     def __post_init__(self):
         if len(self.group_means) != len(self.group_vars):
             raise ValueError("group_means and group_vars must have equal length")
-        if self.base_gradient_time <= 0:
-            raise ValueError(f"base gradient time must be positive, got {self.base_gradient_time}")
+        if not 0.0 < self.base_gradient_time < math.inf:
+            raise ValueError("base gradient time must be positive and finite, "
+                             f"got {self.base_gradient_time}")
+        if not all(math.isfinite(m) for m in self.group_means):
+            raise ValueError(f"group means must be finite, got {self.group_means}")
+        if not all(0.0 <= v < math.inf for v in self.group_vars):
+            raise ValueError(f"group variances must be finite and non-negative, "
+                             f"got {self.group_vars}")
         for j in self.assignment:
             if not 0 <= j < len(self.group_means):
                 raise ValueError(f"group index {j} out of range")
@@ -224,12 +232,21 @@ class GroupedPauseTiming:
         return cls(tuple(float(m) for m in group_means), tuple(float(v) for v in group_vars),
                    assignment, base_gradient_time)
 
-    def pause(self, node: int, epoch: int, grad_index: int, seed: int) -> float:
-        """Pause after gradient ``grad_index``; negative draws mean no pause."""
+    def pauses(self, node: int, epoch: int, seed: int, count: int) -> np.ndarray:
+        """The first ``count`` pauses of ``node`` in ``epoch``; element k follows gradient k.
+
+        All come from the one stream ``(PAUSES, node, epoch)``. Its normal
+        draws are prefix-stable, so element k never depends on ``count``.
+        Negative draws mean no pause.
+        """
         j = self.assignment[node]
-        rng = seeding.substream(seed, seeding.PAUSES, node, epoch, grad_index)
-        draw = self.group_means[j] + math.sqrt(self.group_vars[j]) * rng.standard_normal()
-        return max(0.0, float(draw))
+        rng = seeding.substream(seed, seeding.PAUSES, node, epoch)
+        draws = self.group_means[j] + math.sqrt(self.group_vars[j]) * rng.standard_normal(count)
+        return np.where(draws > 0.0, draws, 0.0)
+
+    def pause(self, node: int, epoch: int, grad_index: int, seed: int) -> float:
+        """Pause after gradient ``grad_index``: element ``grad_index`` of :meth:`pauses`."""
+        return float(self.pauses(node, epoch, seed, grad_index + 1)[grad_index])
 
     def compute_window(self, node: int, epoch: int, seed: int, window: float,
                        start_index: int = 0):
@@ -238,16 +255,23 @@ class GroupedPauseTiming:
         Pauses that would overrun the window are truncated at the
         deadline. Returns ``(count, busy_time, next_index)`` where
         ``next_index`` continues the pause stream, so a follow-up window
-        in the same epoch draws fresh pauses.
+        in the same epoch draws fresh pauses. The pauses come in one block
+        sized for ``window // g`` gradients; when float rounding fits more,
+        a block twice as long continues it.
         """
+        if not 0.0 <= window < math.inf:
+            raise ValueError(f"window must be finite and non-negative, got {window}")
         g = self.base_gradient_time
+        block = self.pauses(node, epoch, seed, start_index + int(window // g)).tolist()
         elapsed = 0.0
         count = 0
         index = start_index
         while elapsed + g <= window:
             elapsed += g
             count += 1
-            pause = self.pause(node, epoch, index, seed)
+            if index == len(block):
+                block = self.pauses(node, epoch, seed, 2 * index + 2).tolist()
+            pause = block[index]
             index += 1
             elapsed += min(pause, window - elapsed)
         return count, elapsed, index
@@ -258,11 +282,10 @@ class GroupedPauseTiming:
         if count == 0:
             return 0.0, start_index
         elapsed = count * self.base_gradient_time
-        index = start_index
-        for _ in range(count - 1):
-            elapsed += self.pause(node, epoch, index, seed)
-            index += 1
-        return elapsed, index
+        end = start_index + count - 1
+        for pause in self.pauses(node, epoch, seed, end)[start_index:].tolist():
+            elapsed += pause
+        return elapsed, end
 
     def mean_pause(self, node: int) -> float:
         j = self.assignment[node]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -102,6 +103,27 @@ class TestParsing:
             cli.build_run_config(spec, seed=1)
 
 
+def paused_config(tmp_path, outdir, **sections):
+    """A small grouped-pause testbed config; ``sections`` update its sections' keys."""
+    payload = {
+        "mode": "amb",
+        "objective": {"kind": "linear_regression", "dim": 4, "noise_var": 0.001, "seed": 3},
+        "topology": {"kind": "testbed"},
+        "timing": {"kind": "grouped_pause", "group_means": [5.0, 10.0, 20.0, 35.0, 55.0],
+                   "group_vars": [1.0, 4.0, 9.0, 16.0, 25.0],
+                   "assignment": [0, 0, 1, 1, 2, 2, 3, 3, 4, 4], "base_gradient_time": 5.0},
+        "schedule": {"offset": 50.0, "work_scale": 150.0},
+        "run": {"tau": 2, "compute_time": 120.0, "communication_time": 60.0, "batch": 100,
+                "radius": 6.0, "seed": 1},
+        "output": {"directory": str(outdir)},
+    }
+    for section, values in sections.items():
+        payload[section] = {**payload[section], **values}
+    path = tmp_path / "paused.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
 class TestRunExperiment:
     def test_writes_documented_files(self, tmp_path):
         outdir = tmp_path / "out"
@@ -141,6 +163,23 @@ class TestRunExperiment:
         cli.run_experiment(spec)
         assert (outdir / "amb_seed99.csv").exists()
 
+    def test_mixing_matrix_is_built_once_per_experiment(self, tmp_path, monkeypatch):
+        from ambsim import engine, topology
+        calls = []
+        build = topology.build_consensus_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(topology, "build_consensus_matrix", counted)
+        monkeypatch.setattr(engine, "build_consensus_matrix", counted)
+        outdir = tmp_path / "out"
+        path = paused_config(tmp_path, outdir, output={"repeats": 3, "paired": True})
+        assert cli.main(["run", str(path)]) == 0
+        assert len(calls) == 1
+        assert len((outdir / "compare.csv").read_text().splitlines()) == 4
+
     def test_compare_writes_pair_and_comparison(self, tmp_path):
         outdir = tmp_path / "out"
         path = full_config(tmp_path, outdir)
@@ -178,6 +217,38 @@ class TestSubcommands:
         assert cli.main(["run", str(path)]) == 1
         assert "consensus.rounds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, sections", [
+        ("run.communication_time", {"run": {"communication_time": math.inf}}),
+        ("run.compute_time", {"run": {"compute_time": math.inf}}),
+        ("run.compute_time", {"run": {"compute_time": math.nan}}),
+        ("timing.group_means", {"timing": {"group_means": [5.0, math.nan, 20.0, 35.0, 55.0]}}),
+        ("timing.group_means", {"timing": {"group_means": [5.0, 10.0, math.inf, 35.0, 55.0]}}),
+        ("timing.group_vars", {"timing": {"group_vars": [1.0, 4.0, 9.0, math.nan, 25.0]}}),
+        ("timing.group_vars", {"timing": {"group_vars": [-1, 4]}}),
+        ("timing.group_vars", {"timing": {"group_vars": [1.0, 4.0]}}),
+        ("timing.base_gradient_time", {"timing": {"base_gradient_time": math.nan}}),
+        ("timing.base_gradient_time", {"timing": {"base_gradient_time": 0.0}}),
+        ("timing.assignment", {"timing": {"assignment": [0, 0, 1, 1, 2]}}),
+        ("timing.assignment", {"timing": {"assignment": [0, 0, 1, 1, 2, 2, 3, 3, 4, 5]}}),
+        ("output.repeats", {"output": {"repeats": "2"}}),
+        ("output.repeats", {"output": {"repeats": 0}}),
+        ("output.paired", {"output": {"paired": "yes"}}),
+        ("output.bound_report", {"output": {"bound_report": 1}}),
+    ])
+    def test_invalid_numbers_name_the_key(self, tmp_path, capsys, key, sections):
+        path = paused_config(tmp_path, tmp_path / "out", **sections)
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_serial_mode_runs_node_zero_of_the_assignment(self, tmp_path):
+        path = paused_config(tmp_path, tmp_path / "out")
+        payload = json.loads(path.read_text())
+        payload["mode"] = "serial"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == 0
 
     def test_topology_subcommand(self, tmp_path, capsys):
         edgefile = tmp_path / "g.txt"

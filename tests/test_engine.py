@@ -35,6 +35,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="single-node"):
             small_config(mode="serial", rounds="exact")
 
+    def test_non_finite_times_are_rejected(self):
+        with pytest.raises(ValueError, match="communication time"):
+            small_config(comm_time=math.inf)
+        with pytest.raises(ValueError, match="communication time"):
+            small_config(comm_time=math.nan)
+        with pytest.raises(ValueError, match="compute time"):
+            small_config(compute_time=math.inf)
+        with pytest.raises(ValueError, match="compute time"):
+            small_config(compute_time=math.nan)
+        with pytest.raises(ValueError, match="radius"):
+            small_config(radius=math.inf)
+
     def test_round_spec_validation(self):
         with pytest.raises(ValueError):
             small_config(rounds=0)
@@ -148,6 +160,16 @@ class TestConsensus:
         for record in trace.records:
             assert record.rounds_used.min() >= 2
             assert record.rounds_used.max() <= 6
+
+    def test_node_round_count_does_not_depend_on_graph_size(self):
+        small = small_config(graph=topology.ring_graph(5), rounds=("uniform", 3, 8))
+        large = small_config(graph=topology.ring_graph(150), rounds=("uniform", 3, 8))
+        for t in (1, 2, 9):
+            few, many = engine._resolve_rounds(small, t), engine._resolve_rounds(large, t)
+            assert few.shape == (5,) and many.shape == (150,)
+            assert np.array_equal(few, many[:5])
+            assert few.min() >= 3 and many.min() >= 3 and many.max() <= 8
+        assert not np.array_equal(engine._resolve_rounds(large, 1), engine._resolve_rounds(large, 2))
 
     def test_degenerate_batch_share_keeps_dual(self):
         # Path graph: node 0 is two hops from the only node with work, so a

@@ -11,8 +11,10 @@ messages, a paired ``compare`` with grouped-pause timing, a 30-node ring with
 per-node ``["uniform", 3, 8]`` round counts, ``"exact"`` rounds in
 fixed-batch mode, and ``serial`` mode.
 
-After a deliberate output change, ``PYTHONPATH=src python tests/test_golden.py``
-rewrites the reference copies and prints the digest table to paste below.
+After a deliberate output change, ``PYTHONPATH=src python tests/test_golden.py
+NAME...`` rewrites the reference copies of the named configs and prints their
+entries of the digest table to paste below. With no names it rewrites every
+config and prints the whole table.
 """
 
 from __future__ import annotations
@@ -188,10 +190,14 @@ def test_drift_report_names_column_and_difference():
     assert "epoch" not in report
 
 
-def _regold():
+def _regold(names):
     import tempfile
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        print(f"unknown config(s) {unknown}; choose from {sorted(CONFIGS)}", file=sys.stderr)
+        return 2
     print("GOLDEN = {")
-    for name in sorted(CONFIGS):
+    for name in sorted(set(names) or CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
             files = run_config(name, Path(tmp) / "out")
         (GOLDEN_DIR / name).mkdir(parents=True, exist_ok=True)
@@ -205,4 +211,4 @@ def _regold():
 
 if __name__ == "__main__":
     os.environ.pop("AMB_SEED", None)
-    sys.exit(_regold())
+    sys.exit(_regold(sys.argv[1:]))

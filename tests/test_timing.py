@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ambsim import timing
+from ambsim import seeding, timing
 
 
 def harmonic(n):
@@ -110,7 +110,7 @@ class TestGroupedPause:
 
     def test_group_one_pause_statistics(self):
         model = self.make_model()
-        draws = np.array([model.pause(0, 1, k, seed=6) for k in range(20_000)])
+        draws = model.pauses(0, 1, seed=6, count=20_000)
         assert draws.mean() == pytest.approx(5.0, abs=0.05)
         assert draws.std() == pytest.approx(1.0, abs=0.05)
 
@@ -161,6 +161,103 @@ class TestGroupedPause:
         model = self.make_model()
         assert model.pause(2, 3, 4, seed=12) == model.pause(2, 3, 4, seed=12)
         assert model.pause(2, 3, 4, seed=12) != model.pause(2, 3, 5, seed=12)
+
+    def test_pauses_are_a_bitwise_prefix_of_longer_blocks(self):
+        model = self.make_model()
+        long = model.pauses(3, 7, seed=13, count=500)
+        for k in (0, 1, 2, 17, 499):
+            assert model.pauses(3, 7, seed=13, count=k).tobytes() == long[:k].tobytes()
+        assert model.pause(3, 7, 17, seed=13) == long[17]
+        assert long.tobytes() != model.pauses(3, 8, seed=13, count=500).tobytes()
+        assert long.tobytes() != model.pauses(4, 7, seed=13, count=500).tobytes()
+
+
+def reference_window(model, node, epoch, seed, window, start_index=0):
+    """compute_window as one scalar pause() per gradient."""
+    g = model.base_gradient_time
+    elapsed, count, index = 0.0, 0, start_index
+    while elapsed + g <= window:
+        elapsed += g
+        count += 1
+        pause = model.pause(node, epoch, index, seed)
+        index += 1
+        elapsed += min(pause, window - elapsed)
+    return count, elapsed, index
+
+
+def reference_fixed_count(model, node, epoch, seed, count, start_index=0):
+    """fixed_count_time as one scalar pause() per gradient."""
+    if count == 0:
+        return 0.0, start_index
+    elapsed = count * model.base_gradient_time
+    index = start_index
+    for _ in range(count - 1):
+        elapsed += model.pause(node, epoch, index, seed)
+        index += 1
+    return elapsed, index
+
+
+class TestPauseBlocks:
+    MODELS = [
+        timing.GroupedPauseTiming.default_groups(base_gradient_time=5.0),
+        timing.GroupedPauseTiming.default_groups(base_gradient_time=0.7),
+        timing.GroupedPauseTiming(group_means=(0.3, -0.1), group_vars=(0.2, 0.05),
+                                  assignment=(0, 1, 0), base_gradient_time=0.1),
+    ]
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("start_index", [0, 3, 11])
+    def test_window_matches_scalar_reference(self, model, start_index):
+        for node in range(len(model.assignment)):
+            for window in (0.0, 0.65, 1.0, 14.5, 60.0, 202.7):
+                got = model.compute_window(node, 2, seed=5, window=window,
+                                           start_index=start_index)
+                want = reference_window(model, node, 2, 5, window, start_index)
+                assert got == want
+                assert type(got[1]) is float
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("start_index", [0, 3, 11])
+    def test_fixed_count_matches_scalar_reference(self, model, start_index):
+        for node in range(len(model.assignment)):
+            for count in (0, 1, 2, 10, 37):
+                got = model.fixed_count_time(node, 4, seed=6, count=count,
+                                             start_index=start_index)
+                assert got == reference_fixed_count(model, node, 4, 6, count, start_index)
+                assert type(got[0]) is float
+
+    @pytest.mark.parametrize("start_index", [0, 4])
+    def test_window_regrows_its_block_past_the_floor_estimate(self, monkeypatch, start_index):
+        # With no pauses, ten steps of 0.1 sum to 0.9999999999999999, so ten
+        # gradients fit in a 1.0 window although 1.0 // 0.1 == 9.0.
+        model = timing.GroupedPauseTiming(group_means=(-50.0,), group_vars=(1.0,),
+                                          assignment=(0,), base_gradient_time=0.1)
+        assert 1.0 // 0.1 == 9.0
+        want = reference_window(model, 0, 1, 8, 1.0, start_index)
+        calls = []
+        substream = seeding.substream
+        monkeypatch.setattr(seeding, "substream",
+                            lambda *args: calls.append(args) or substream(*args))
+        got = model.compute_window(0, 1, seed=8, window=1.0, start_index=start_index)
+        assert got == want
+        assert got[0] == 10 and got[2] == start_index + 10
+        assert len(calls) == 2  # the block sized by the floor, then one twice as long
+
+    def test_rejects_non_finite_inputs(self):
+        with pytest.raises(ValueError, match="group means"):
+            timing.GroupedPauseTiming((math.nan,), (1.0,), (0,), 1.0)
+        with pytest.raises(ValueError, match="group variances"):
+            timing.GroupedPauseTiming((1.0,), (-1.0,), (0,), 1.0)
+        with pytest.raises(ValueError, match="group variances"):
+            timing.GroupedPauseTiming((1.0,), (math.inf,), (0,), 1.0)
+        with pytest.raises(ValueError, match="base gradient time"):
+            timing.GroupedPauseTiming((1.0,), (1.0,), (0,), math.nan)
+        with pytest.raises(ValueError, match="base gradient time"):
+            timing.GroupedPauseTiming((1.0,), (1.0,), (0,), math.inf)
+        model = timing.GroupedPauseTiming((1.0,), (1.0,), (0,), 1.0)
+        for window in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="window"):
+                model.compute_window(0, 1, seed=1, window=window)
 
 
 class TestSpeedupFormulas:
