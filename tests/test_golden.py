@@ -98,21 +98,21 @@ GOLDEN = {
         "summary.csv": "8bd3e6b2654080aa643f3d217c5a98c91ae93dc3c78f724809b9ef95b4a87e99",
     },
     "paused_compare": {
-        "amb_seed1.csv": "a42d68b172151eb84e85bb3d6535ad7917c6686b39ac799251d8739d6dbadbdb",
-        "amb_seed1_nodes.csv": "6a6ddd048ce36e143db9bfbc1a1b7810e9200bb4f3ac17a1e11a1cab112bcf6e",
-        "amb_seed2.csv": "d73c8e2b59d7281ab592241aa1122e1cb2f9285510eaadef4c3e6d199727a062",
-        "amb_seed2_nodes.csv": "433c91133df21c455dd72d35ca843df5756a210ff58910b53b7fddc1b834aff4",
-        "compare.csv": "6921532217824b4fce442fd1df52ff57eb1c8f0d70da317b3ea9192df41eaf18",
-        "fmb_seed1.csv": "7b25be6d3f94e823c2e96372f8381cfb837d86544971a80dd6164df5e0d829b3",
-        "fmb_seed1_nodes.csv": "0ea56a5c085fef4320b9fd7499eafb1f21ce7f0c547ae60e9496fc442625f3a3",
-        "fmb_seed2.csv": "ab4d14496f0ae9dfa7b9ce8dc8ceab20f642aaae585cec24c9b48b4c885bd1c0",
-        "fmb_seed2_nodes.csv": "add3d59604e5d28edc9d4deb2ae3b32940480c58a4a40fddf84875fdb6c57b29",
-        "summary.csv": "070f02bdc0631487d0109caf909d17c481925ba012f656a3f0aad154eefb14e6",
+        "amb_seed1.csv": "68a602d58172b81ad47d4ac54b7fa944c7b4fd8fd08d91adc48902d40611fe4a",
+        "amb_seed1_nodes.csv": "da1b5c83bef52b3a5bf9709d26026562d2ef8250238105d7112b7c75676ed941",
+        "amb_seed2.csv": "bdff66318a42162fb4c40c1b50c176eff0ecbe23d0a142ae7561bd815d19fedd",
+        "amb_seed2_nodes.csv": "dffc87834ddb10663cb92cf5d15be45908ecc140f1c8a4b7e08180a3772e94c2",
+        "compare.csv": "202a77b7d68d0425595b6a3ee463647cc2d5e7b0119f84fab7b3e0fcdb4bcce3",
+        "fmb_seed1.csv": "dc6602b344711d8e56997b0e621b8db75562f21b32a634128dce653e30ba2055",
+        "fmb_seed1_nodes.csv": "c20f472f19db126d5639ae64cdd03deae256fddc68049ae57b435127065acc4b",
+        "fmb_seed2.csv": "b6f62802e257d59a9e7c939e9a656c0d83408262949b60bf6d8b7310b775a3e3",
+        "fmb_seed2_nodes.csv": "e9dd09851a4b1e3ca1cecfaf47878c9f3985bad479f85e2b99c25680ace4bc11",
+        "summary.csv": "c23164a37dfe6f3f170b065ea6ee87edb9d39e8f24f90d524f7535376bb8aa45",
     },
     "ring30_uniform": {
-        "amb_seed9.csv": "ea95471904c2d4754aa9aeee75d09215a6422e26d55dd49236bada842fc16f37",
-        "amb_seed9_nodes.csv": "95d3cc0cf65be5aae0b61abea616eeab0ce885e2334fd0700c9c02d7f92adafd",
-        "summary.csv": "920a597725b5d46844f09d5253abdfc77216b44bf77cd32d8e4894522fa56b3c",
+        "amb_seed9.csv": "78a7b077ec50ed87087cb0d1c46035c55fccd28d4f066670272a1686d83e71f5",
+        "amb_seed9_nodes.csv": "798914403d65532dffd0d94b80547c15293e51e6eaa7b2a51c474212de3100d8",
+        "summary.csv": "ea155dc667afe26f92f87fda5d0958e2f2e2ba1256046312dfdb5011f9916b6c",
     },
     "serial_softmax": {
         "serial_seed5.csv": "f4fc52cf9ace3957d0d1bfffd7544fd5dfc937ecec8f6db39cfea5f4b6f71782",
