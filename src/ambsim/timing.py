@@ -205,6 +205,9 @@ class GroupedPauseTiming:
     base_gradient_time: float
 
     per_gradient_model = True
+    # Pauses cut most windows far below window // g gradients, so the first
+    # block of a long window is capped rather than sized for no pauses.
+    FIRST_BLOCK = 4096
 
     def __post_init__(self):
         if len(self.group_means) != len(self.group_vars):
@@ -256,13 +259,15 @@ class GroupedPauseTiming:
         deadline. Returns ``(count, busy_time, next_index)`` where
         ``next_index`` continues the pause stream, so a follow-up window
         in the same epoch draws fresh pauses. The pauses come in one block
-        sized for ``window // g`` gradients; when float rounding fits more,
-        a block twice as long continues it.
+        sized for ``window // g`` gradients (at most ``FIRST_BLOCK``); when
+        more fit, from float rounding or a long pause-free window, a block
+        twice as long continues it.
         """
         if not 0.0 <= window < math.inf:
             raise ValueError(f"window must be finite and non-negative, got {window}")
         g = self.base_gradient_time
-        block = self.pauses(node, epoch, seed, start_index + int(window // g)).tolist()
+        first = int(min(window // g, self.FIRST_BLOCK))
+        block = self.pauses(node, epoch, seed, start_index + first).tolist()
         elapsed = 0.0
         count = 0
         index = start_index

@@ -243,6 +243,14 @@ class TestPauseBlocks:
         assert got[0] == 10 and got[2] == start_index + 10
         assert len(calls) == 2  # the block sized by the floor, then one twice as long
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_capped_first_block_regrows_to_the_same_pauses(self, model, monkeypatch):
+        monkeypatch.setattr(timing.GroupedPauseTiming, "FIRST_BLOCK", 2)
+        for start_index in (0, 5):
+            for window in (14.5, 60.0, 202.7):
+                got = model.compute_window(1, 3, seed=4, window=window, start_index=start_index)
+                assert got == reference_window(model, 1, 3, 4, window, start_index)
+
     def test_rejects_non_finite_inputs(self):
         with pytest.raises(ValueError, match="group means"):
             timing.GroupedPauseTiming((math.nan,), (1.0,), (0,), 1.0)
