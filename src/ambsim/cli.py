@@ -48,6 +48,13 @@ def _check_keys(section: dict, allowed, path: str):
             raise ConfigError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _get(section: dict, key: str, path: str, kind, default="__required__"):
     if key not in section:
         if default == "__required__":
@@ -55,7 +62,7 @@ def _get(section: dict, key: str, path: str, kind, default="__required__"):
         return default
     value = section[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        value = float(value) if _is_finite(value) else math.inf
     if kind is not None and not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"key '{path}.{key}' must be {getattr(kind, '__name__', kind)}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
@@ -67,14 +74,14 @@ def _number_or_auto(section, key, path, default):
     value = section.get(key, default)
     if value == "auto":
         return "auto"
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _is_finite(value):
         raise ConfigError(f"key '{path}.{key}' must be a finite number or 'auto', got {value!r}")
     return float(value)
 
 
 def _number_list(section, key, path, minimum=-math.inf):
     values = _get(section, key, path, list)
-    if not all(type(v) in (int, float) and math.isfinite(v) and v >= minimum for v in values):
+    if not all(type(v) in (int, float) and _is_finite(v) and v >= minimum for v in values):
         bound = "" if minimum == -math.inf else f" >= {minimum:g}"
         raise ConfigError(f"key '{path}.{key}' must be a list of finite numbers{bound}, "
                           f"got {values!r}")

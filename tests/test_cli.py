@@ -222,6 +222,9 @@ class TestSubcommands:
         ("run.communication_time", {"run": {"communication_time": math.inf}}),
         ("run.compute_time", {"run": {"compute_time": math.inf}}),
         ("run.compute_time", {"run": {"compute_time": math.nan}}),
+        ("run.compute_time", {"run": {"compute_time": 10**400}}),
+        ("run.communication_time", {"run": {"communication_time": 10**400}}),
+        ("timing.group_means", {"timing": {"group_means": [5, 10, 20, 35, 10**400]}}),
         ("timing.group_means", {"timing": {"group_means": [5.0, math.nan, 20.0, 35.0, 55.0]}}),
         ("timing.group_means", {"timing": {"group_means": [5.0, 10.0, math.inf, 35.0, 55.0]}}),
         ("timing.group_vars", {"timing": {"group_vars": [1.0, 4.0, 9.0, math.nan, 25.0]}}),
