@@ -1,10 +1,13 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
 from ambsim import cli
+
+TIMING_TRACE = Path(__file__).parent / "golden" / "timing_trace.csv"
 
 
 def minimal_config(tmp_path, **run_overrides):
@@ -189,6 +192,38 @@ class TestRunExperiment:
         assert len(compare) == 2
         assert (outdir / "amb_seed21.csv").exists()
         assert (outdir / "fmb_seed21.csv").exists()
+
+
+class TestAutoResolution:
+    # Exact floats: the anytime work scale comes from each timing model's
+    # expected window batch and the matched window from its completion stats.
+    @pytest.mark.parametrize("timing_section, work_scale, compute_time", [
+        ({"kind": "shifted_exponential", "rate": 0.6667, "shift": 1.0, "reference_batch": 60},
+         104.0, 1.0833008349582522),
+        ({"kind": "deterministic", "period": 2.5, "reference_batch": 60},
+         104.00000000000001, 1.0833333333333335),
+        ({"kind": "grouped_pause", "group_means": [5.0, 10.0, 20.0, 35.0],
+          "group_vars": [1.0, 4.0, 9.0, 16.0], "assignment": [0, 1, 2, 3],
+          "base_gradient_time": 5.0},
+         131.30866632614985, 566.8000010008374),
+        ({"kind": "trace", "path": str(TIMING_TRACE), "reference_batch": 10},
+         105.63316582914572, 5.971875),
+    ])
+    def test_auto_work_scale_and_compute_time(self, tmp_path, timing_section, work_scale,
+                                              compute_time):
+        payload = {
+            "mode": "amb",
+            "objective": {"kind": "linear_regression", "dim": 3, "noise_var": 0.001, "seed": 2},
+            "topology": {"kind": "complete", "n": 4},
+            "timing": timing_section,
+            "schedule": {"offset": 10.0},
+            "run": {"tau": 1, "compute_time": "auto", "batch": 100, "seed": 1},
+        }
+        path = tmp_path / "auto.json"
+        path.write_text(json.dumps(payload))
+        config = cli.build_run_config(cli.parse_config(path), seed=1)
+        assert config.compute_time == compute_time
+        assert config.schedule.work_scale == work_scale
 
 
 class TestSubcommands:

@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of the CSV files that five small experiments write.
+"""Pinned SHA-256 digests of the CSV files that six small experiments write.
 
 A change that claims to keep outputs must leave every digest in place; a
 change that moves one must say why in CHANGES.md. When a digest moves, the
@@ -9,7 +9,8 @@ last-digit drift (a different numpy build) apart from a logic change.
 Together the configs cover the testbed in anytime mode with one-dimensional
 messages, a paired ``compare`` with grouped-pause timing, a 30-node ring with
 per-node ``["uniform", 3, 8]`` round counts, ``"exact"`` rounds in
-fixed-batch mode, and ``serial`` mode.
+fixed-batch mode, ``serial`` mode, and fixed-batch mode replaying per-node
+batch times from ``tests/golden/timing_trace.csv``.
 
 After a deliberate output change, ``PYTHONPATH=src python tests/test_golden.py
 NAME...`` rewrites the reference copies of the named configs and prints their
@@ -33,6 +34,7 @@ import pytest
 from ambsim import cli
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+TIMING_TRACE = GOLDEN_DIR / "timing_trace.csv"
 
 CONFIGS = {
     "testbed_amb": ("run", {
@@ -89,6 +91,16 @@ CONFIGS = {
         "run": {"tau": 8, "compute_time": 2.5, "communication_time": 1.0, "radius": 15.0,
                 "seed": 5, "holdout": 200},
     }),
+    "trace_fmb": ("run", {
+        "mode": "fmb",
+        "objective": {"kind": "linear_regression", "dim": 3, "noise_var": 0.001, "seed": 6},
+        "topology": {"kind": "complete", "n": 4},
+        "consensus": {"rounds": 3},
+        "timing": {"kind": "trace", "path": str(TIMING_TRACE), "reference_batch": 10},
+        "schedule": {"offset": 20.0},
+        "run": {"tau": 8, "communication_time": 0.5, "batch": 42, "radius": "auto",
+                "seed": 15, "holdout": 200},
+    }),
 }
 
 GOLDEN = {
@@ -123,6 +135,11 @@ GOLDEN = {
         "amb_seed21.csv": "51298eed25cb8ebdf47011c5ba8ba65536e06b57543324ded4d63b8729f01f55",
         "amb_seed21_nodes.csv": "9517c9453de4f1e7ce9fe59ba4acab874b3e2eadc34da22cafa9bed9efc30b8c",
         "summary.csv": "73de977fd488eb0ca348f57ac8c029f50de0dae75931093b87d38f08454d53d8",
+    },
+    "trace_fmb": {
+        "fmb_seed15.csv": "70f25c874536625c68b9db38703faf4aca28c7931765d58a499129c7bceae62a",
+        "fmb_seed15_nodes.csv": "05bc28ce20765e066657d8b03bd2f00824b152f132c073e56bcc7364e79aaf97",
+        "summary.csv": "6887cac51831b8ed5af97929e7afd390694d1f783eb8a9dc821f09e8cce4047a",
     },
 }
 
