@@ -170,7 +170,6 @@ def parse_config(path) -> ExperimentSpec:
         _check_keys(tim, {"kind", "rate", "shift", "reference_batch"}, "timing")
         _get(tim, "rate", "timing", float)
         _get(tim, "shift", "timing", float)
-        _get(tim, "reference_batch", "timing", int)
     elif tkind == "deterministic":
         _check_keys(tim, {"kind", "period", "reference_batch"}, "timing")
         _get(tim, "period", "timing", float)
@@ -192,9 +191,11 @@ def parse_config(path) -> ExperimentSpec:
     elif tkind == "trace":
         _check_keys(tim, {"kind", "path", "reference_batch"}, "timing")
         _get(tim, "path", "timing", str)
-        _get(tim, "reference_batch", "timing", int)
     else:
         raise ConfigError(f"key 'timing.kind' unknown: {tkind!r}")
+    if tkind != "grouped_pause" and _get(tim, "reference_batch", "timing", int) < 1:
+        raise ConfigError(f"key 'timing.reference_batch' must be an integer >= 1, "
+                          f"got {tim['reference_batch']!r}")
 
     sched = dict(raw.get("schedule", {}))
     _check_keys(sched, {"offset", "work_scale"}, "schedule")
@@ -288,7 +289,10 @@ def build_timing(section: dict):
             tuple(float(v) for v in section["group_vars"]),
             tuple(int(j) for j in section["assignment"]),
             float(section["base_gradient_time"]))
-    return timing.load_timing_trace(section["path"], section["reference_batch"])
+    try:
+        return timing.load_timing_trace(section["path"], section["reference_batch"])
+    except ValueError as exc:
+        raise ConfigError(f"key 'timing.path': {exc}") from None
 
 
 def _mean_fixed_batch_time(model, graph, batch):
@@ -316,15 +320,6 @@ def _resolve_radius(spec, model) -> float:
     return 10.0
 
 
-def _expected_epoch_batch(spec, graph, tmodel, compute_time) -> float:
-    if tmodel.per_gradient_model:
-        per_node = [compute_time / (tmodel.base_gradient_time + tmodel.mean_pause(i))
-                    for i in range(graph.n)]
-        return float(sum(per_node))
-    per_grad = tmodel.mean_batch_time() / tmodel.reference_batch
-    return graph.n * compute_time / per_grad
-
-
 def _resolve_schedule(spec, model, graph, tmodel, radius, compute_time, mode) -> dualavg.Schedule:
     offset = spec.schedule["offset"]
     if offset == "auto":
@@ -338,7 +333,7 @@ def _resolve_schedule(spec, model, graph, tmodel, radius, compute_time, mode) ->
                 raise ConfigError("schedule.work_scale 'auto' in fmb mode needs run.batch")
             scale = float(spec.run["batch"])
         else:
-            scale = _expected_epoch_batch(spec, graph, tmodel, compute_time)
+            scale = tmodel.mean_window_batch(compute_time, graph.n)
     return dualavg.Schedule(offset=float(offset), work_scale=float(scale))
 
 
@@ -354,6 +349,9 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
             raise ConfigError(f"key 'timing.assignment' has {assigned} entries, "
                               f"but the graph has {graph.n} nodes")
     tmodel = build_timing(spec.timing)
+    if spec.timing["kind"] == "trace" and len(tmodel.table) < graph.n:
+        raise ConfigError(f"key 'timing.path' has batch times for {len(tmodel.table)} nodes, "
+                          f"but the graph has {graph.n} nodes")
     radius = _resolve_radius(spec, model)
     compute_time = None
     if mode in ("amb", "serial"):

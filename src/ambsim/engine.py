@@ -27,7 +27,6 @@ from .topology import ConsensusMatrix, Graph, build_consensus_matrix, row_suppor
 
 __all__ = [
     "RunConfig",
-    "NodeState",
     "EngineState",
     "EpochRecord",
     "matched_compute_time",
@@ -108,36 +107,32 @@ class RunConfig:
 
 
 @dataclass
-class NodeState:
-    """Per-node optimizer state: primal iterate and accumulated dual."""
+class EngineState:
+    """State between epochs: row i of the (n, d) ``primal`` and ``dual`` is node i's."""
 
     primal: np.ndarray
-    dual: dualavg.DualState
-
-
-@dataclass
-class EngineState:
-    nodes: list
+    dual: np.ndarray
     wall: float
-    epoch: int
 
 
 @dataclass
 class EpochRecord:
     """Everything observed during one epoch.
 
-    ``batch_times`` holds the sampled reference-batch completion time for
-    linear-progress timing models and the realized in-epoch busy time for
-    the per-gradient pause model. ``extra_capacity`` counts gradients each
-    node could have finished during the communication window (recorded
-    only, never computed). ``consensus_error`` is the worst node's
-    distance to the error-free dual update. ``loss_sum_processed`` sums
-    losses over each node's processed samples; ``loss_sum_potential``
+    ``batch_times``, ``batch_sizes`` and ``extra_capacity`` are each node's
+    T_i, b_i and a_i as the timing model's ``window_epoch`` or
+    ``batch_epoch`` reports them: T_i is the sampled reference-batch time
+    for linear-progress models and the realized busy time for the pause
+    model, and a_i counts gradients the node could have finished during
+    the communication window (recorded only, never computed).
+    ``compute_duration`` is the compute window, or the slowest node's
+    finishing time in fixed-batch mode. ``consensus_error`` is the worst
+    node's distance to the error-free dual update. ``loss_sum_processed``
+    sums losses over each node's processed samples; ``loss_sum_potential``
     extends the sum over the extra-capacity samples.
     """
 
     epoch: int
-    wall_start: float
     wall_end: float
     compute_duration: float
     batch_times: np.ndarray
@@ -238,37 +233,19 @@ def _consensus_phase(config: RunConfig, messages: np.ndarray, scalars: np.ndarra
 
 
 def init_state(config: RunConfig) -> EngineState:
-    dim = config.objective.dim
-    nodes = [NodeState(primal=np.zeros(dim), dual=dualavg.initial_dual_state(dim))
-             for _ in range(config.graph.n)]
-    return EngineState(nodes=nodes, wall=0.0, epoch=1)
+    shape = (config.graph.n, config.objective.dim)
+    return EngineState(primal=np.zeros(shape), dual=np.zeros(shape), wall=0.0)
 
 
 def _compute_phase(config: RunConfig, t: int):
-    """Per-node gradient capacity for the epoch.
-
-    Returns (batch sizes b, extra capacities a, recorded times). Partial
-    gradients in progress at a deadline are discarded, hence the floors.
-    """
+    """Per-node (b_i, a_i, T_i) of an anytime epoch, from the timing model's ``window_epoch``."""
     n = config.graph.n
-    timing = config.timing
-    window = config.compute_time
     b = np.zeros(n, dtype=int)
     a = np.zeros(n, dtype=int)
     times = np.zeros(n)
-    if timing.per_gradient_model:
-        for i in range(n):
-            count, busy, nxt = timing.compute_window(i, t, config.seed, window)
-            extra, _, _ = timing.compute_window(i, t, config.seed, config.comm_time,
-                                                start_index=nxt)
-            b[i], a[i], times[i] = count, extra, busy
-    else:
-        for i in range(n):
-            bt = timing.batch_time(i, t, config.seed)
-            per_grad = timing.per_gradient_time(bt)
-            b[i] = int(math.floor(window / per_grad))
-            a[i] = int(math.floor(config.comm_time / per_grad))
-            times[i] = bt
+    for i in range(n):
+        b[i], a[i], times[i] = config.timing.window_epoch(i, t, config.seed, config.compute_time,
+                                                          config.comm_time)
     return b, a, times
 
 
@@ -282,10 +259,13 @@ def _fmb_batches(batch: int, n: int) -> np.ndarray:
 
 def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
                           batch_sizes: np.ndarray, extra: np.ndarray):
-    """Draw each node's samples, average gradients, and record loss sums."""
+    """Draw each node's samples, average gradients, and record loss sums.
+
+    Gradient rows of nodes without a batch stay zero.
+    """
     n = config.graph.n
     model = config.objective
-    grads = [None] * n
+    grads = np.zeros_like(state.primal)
     loss_b = np.zeros(n)
     loss_c = np.zeros(n)
     for i in range(n):
@@ -293,7 +273,7 @@ def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
         if want == 0:
             continue
         x, y = model.draw(i, t, int(want))
-        w = state.nodes[i].primal
+        w = state.primal[i]
         losses = model.loss_batch(w, x, y)
         loss_b[i] = float(np.sum(losses[: batch_sizes[i]]))
         loss_c[i] = float(np.sum(losses))
@@ -303,123 +283,56 @@ def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
 
 
 def _dual_update(config: RunConfig, state: EngineState, t: int,
-                 batch_sizes: np.ndarray, grads):
+                 batch_sizes: np.ndarray, grads: np.ndarray):
     """Consensus over weighted dual messages plus the primal map.
 
-    Returns (new nodes, consensus error, rounds used, degenerate count,
-    empty-batch flag).
+    Returns (primal rows, dual rows, consensus error, rounds used,
+    degenerate count, empty-batch flag).
     """
     n = config.graph.n
-    dim = config.objective.dim
+    duals = state.dual
     global_batch = int(batch_sizes.sum())
     rounds_per_node = _resolve_rounds(config, t)
-    empty = global_batch == 0
-
-    duals = np.stack([node.dual.z for node in state.nodes])
-    if empty:
+    degenerate = 0
+    if global_batch == 0:
         # No gradients anywhere: carry the duals through an unweighted
         # consensus and skip normalization entirely.
-        messages = duals.copy()
-        scalars = np.ones(n)
-    else:
-        messages = np.zeros((n, dim))
-        for i in range(n):
-            if batch_sizes[i] > 0:
-                messages[i] = n * batch_sizes[i] * (duals[i] + grads[i])
-        scalars = n * batch_sizes.astype(float)
-
-    out_msg, out_scalar = _consensus_phase(config, messages, scalars, rounds_per_node)
-
-    # Error-free dual: batch-weighted average of dual-plus-gradient.
-    if empty:
+        z_next, _ = _consensus_phase(config, duals, np.ones(n), rounds_per_node)
         exact = duals.mean(axis=0)
     else:
-        exact = np.zeros(dim)
-        for i in range(n):
-            if batch_sizes[i] > 0:
-                exact = exact + batch_sizes[i] * (duals[i] + grads[i])
+        working = batch_sizes > 0
+        summands = duals + grads
+        messages = np.where(working[:, None], (n * batch_sizes)[:, None] * summands, 0.0)
+        out_msg, out_scalar = _consensus_phase(config, messages, n * batch_sizes.astype(float),
+                                               rounds_per_node)
+        # Error-free dual: batch-weighted average of dual-plus-gradient,
+        # summed row by row in node order.
+        exact = np.zeros(duals.shape[1])
+        for i in np.flatnonzero(working):
+            exact = exact + batch_sizes[i] * summands[i]
         exact = exact / global_batch
-
-    degenerate = 0
-    new_nodes = []
-    worst = 0.0
-    for i in range(n):
-        if empty:
-            z_next = out_msg[i]
-        elif config.exact_batch_norm:
-            z_next = out_msg[i] / global_batch
+        if config.exact_batch_norm:
+            z_next = out_msg / global_batch
         else:
-            share = out_scalar[i]
-            if share <= 0.0:
-                # The node heard from no one with work; keep its dual.
-                degenerate += 1
-                z_next = duals[i]
-            else:
-                z_next = out_msg[i] / share
-        dual = dualavg.apply_consensus_result(state.nodes[i].dual, z_next)
-        beta_next = dualavg.beta(config.schedule, dual.t)
-        primal = dualavg.primal_update(dual.z, beta_next, config.radius)
-        new_nodes.append(NodeState(primal=primal, dual=dual))
-        worst = max(worst, float(np.linalg.norm(z_next - exact)))
-    return new_nodes, worst, rounds_per_node, degenerate, empty
+            # A node that heard from no one with work keeps its dual.
+            unheard = out_scalar <= 0.0
+            degenerate = int(unheard.sum())
+            z_next = np.where(unheard[:, None], duals,
+                              out_msg / np.where(unheard, 1.0, out_scalar)[:, None])
+    beta_next = dualavg.beta(config.schedule, t + 1)
+    primal = np.stack([dualavg.primal_update(z, beta_next, config.radius) for z in z_next])
+    worst = max([0.0] + [float(np.linalg.norm(z_next[i] - exact)) for i in range(n)])
+    return primal, z_next, worst, rounds_per_node, degenerate, global_batch == 0
 
 
-def run_amb_epoch(state: EngineState, config: RunConfig, t: int):
-    """One fixed-compute-window epoch; wall clock advances by exactly T + T_c."""
-    b, a, times = _compute_phase(config, t)
+def _epoch(state: EngineState, config: RunConfig, t: int, b: np.ndarray, a: np.ndarray,
+           times: np.ndarray, compute: float, wall_end: float):
+    """The epoch after its compute phase: gradients, consensus, primal map, record."""
     grads, loss_b, loss_c = _gradients_and_losses(config, state, t, b, a)
-    new_nodes, err, rounds_used, degenerate, empty = _dual_update(config, state, t, b, grads)
-    period = config.compute_time + config.comm_time
+    primal, dual, err, rounds_used, degenerate, empty = _dual_update(config, state, t, b, grads)
     record = EpochRecord(
         epoch=t,
-        wall_start=(t - 1) * period,
-        wall_end=t * period,
-        compute_duration=config.compute_time,
-        batch_times=times,
-        batch_sizes=b,
-        extra_capacity=a,
-        rounds_used=rounds_used,
-        global_batch=int(b.sum()),
-        global_potential=int((b + a).sum()),
-        consensus_error=err,
-        empty_batch=empty,
-        degenerate_nodes=degenerate,
-        loss_sum_processed=loss_b,
-        loss_sum_potential=loss_c,
-        losses_cover_potential=config.extended_losses,
-        primal_after=np.stack([node.primal for node in new_nodes]),
-    )
-    return EngineState(nodes=new_nodes, wall=record.wall_end, epoch=t + 1), record
-
-
-def run_fmb_epoch(state: EngineState, config: RunConfig, t: int):
-    """One fixed-batch epoch; its duration is the slowest node's finishing time."""
-    n = config.graph.n
-    timing = config.timing
-    b = _fmb_batches(config.batch, n)
-    durations = np.zeros(n)
-    a = np.zeros(n, dtype=int)
-    times = np.zeros(n)
-    if timing.per_gradient_model:
-        for i in range(n):
-            busy, nxt = timing.fixed_count_time(i, t, config.seed, int(b[i]))
-            extra, _, _ = timing.compute_window(i, t, config.seed, config.comm_time,
-                                                start_index=nxt)
-            durations[i], a[i], times[i] = busy, extra, busy
-    else:
-        for i in range(n):
-            bt = timing.batch_time(i, t, config.seed)
-            per_grad = timing.per_gradient_time(bt)
-            durations[i] = b[i] * per_grad
-            a[i] = int(math.floor(config.comm_time / per_grad))
-            times[i] = bt
-    grads, loss_b, loss_c = _gradients_and_losses(config, state, t, b, a)
-    new_nodes, err, rounds_used, degenerate, empty = _dual_update(config, state, t, b, grads)
-    compute = float(durations.max())
-    record = EpochRecord(
-        epoch=t,
-        wall_start=state.wall,
-        wall_end=state.wall + compute + config.comm_time,
+        wall_end=wall_end,
         compute_duration=compute,
         batch_times=times,
         batch_sizes=b,
@@ -433,9 +346,30 @@ def run_fmb_epoch(state: EngineState, config: RunConfig, t: int):
         loss_sum_processed=loss_b,
         loss_sum_potential=loss_c,
         losses_cover_potential=config.extended_losses,
-        primal_after=np.stack([node.primal for node in new_nodes]),
+        primal_after=primal,
     )
-    return EngineState(nodes=new_nodes, wall=record.wall_end, epoch=t + 1), record
+    return EngineState(primal=primal, dual=dual, wall=wall_end), record
+
+
+def run_amb_epoch(state: EngineState, config: RunConfig, t: int):
+    """One fixed-compute-window epoch; wall clock advances by exactly T + T_c."""
+    b, a, times = _compute_phase(config, t)
+    return _epoch(state, config, t, b, a, times, config.compute_time,
+                  t * (config.compute_time + config.comm_time))
+
+
+def run_fmb_epoch(state: EngineState, config: RunConfig, t: int):
+    """One fixed-batch epoch; its duration is the slowest node's finishing time."""
+    n = config.graph.n
+    b = _fmb_batches(config.batch, n)
+    durations = np.zeros(n)
+    a = np.zeros(n, dtype=int)
+    times = np.zeros(n)
+    for i in range(n):
+        durations[i], a[i], times[i] = config.timing.batch_epoch(i, t, config.seed, int(b[i]),
+                                                                 config.comm_time)
+    compute = float(durations.max())
+    return _epoch(state, config, t, b, a, times, compute, state.wall + compute + config.comm_time)
 
 
 def run(config: RunConfig):

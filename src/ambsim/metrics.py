@@ -353,9 +353,6 @@ def build_trace(config, records, final_state=None) -> RunTrace:
             reference = float(np.mean(config.objective.loss_batch(w_star, x, y)))
         error = error_vs_walltime(records, config.objective, holdout, reference=reference)
     lambda2 = config.matrix.lambda2 if config.matrix is not None else float("nan")
-    final = None
-    if final_state is not None:
-        final = np.stack([node.primal for node in final_state.nodes])
     return RunTrace(
         config=config,
         records=records,
@@ -367,5 +364,5 @@ def build_trace(config, records, final_state=None) -> RunTrace:
         potential_total=int(potentials.sum()),
         regret=regret,
         error=error,
-        final_primals=final,
+        final_primals=final_state.primal if final_state is not None else None,
     )

@@ -1,11 +1,26 @@
 """Stochastic compute-time models for workers.
 
-Two families exist. Linear-progress models (shifted exponential,
+Every model answers the same three calls, which are all the engine and
+the CLI know of timing:
+
+- ``window_epoch(node, epoch, seed, window, comm_time)`` returns
+  ``(b_i, a_i, T_i)`` for an anytime epoch: the gradients finished inside
+  the compute window, the gradients the node could finish during the
+  communication time that follows, and the time the node records.
+- ``batch_epoch(node, epoch, seed, count, comm_time)`` returns
+  ``(duration, a_i, T_i)`` for a fixed-batch epoch: the time to finish
+  ``count`` gradients, then a_i and T_i as above.
+- ``mean_window_batch(window, n)`` is the expected global batch of an
+  anytime epoch on nodes ``0..n-1``; it sets the ``"auto"`` work scale.
+
+Two families answer them. Linear-progress models (shifted exponential,
 deterministic, trace replay) describe the time to finish a reference
 batch; the time for one gradient is that batch time divided by the
 reference batch size, and k gradients take k times as long, with k free
-to exceed the reference. The grouped-pause model instead charges a fixed
-time per gradient plus a random pause after each one, drawn per group.
+to exceed the reference. They draw one batch time per (node, epoch), which
+is T_i, and answer in closed form. The grouped-pause model instead charges
+a fixed time per gradient plus a random pause after each one, drawn per
+group; T_i is the node's realized busy time.
 
 All sampling is a pure function of (model, node, epoch, seed), repeatable
 across runs and thread schedules.
@@ -46,8 +61,33 @@ def _clipped_normal_moments(mean: float, var: float):
     return first, max(0.0, second - first * first)
 
 
+class _LinearProgress:
+    """The timing protocol in closed form, from one batch time per (node, epoch).
+
+    Partial gradients in progress at a deadline are discarded, hence the floors.
+    """
+
+    def per_gradient_time(self, batch_time: float) -> float:
+        return batch_time / self.reference_batch
+
+    def window_epoch(self, node: int, epoch: int, seed: int, window: float, comm_time: float):
+        batch_time = self.batch_time(node, epoch, seed)
+        per_grad = self.per_gradient_time(batch_time)
+        return (int(math.floor(window / per_grad)), int(math.floor(comm_time / per_grad)),
+                batch_time)
+
+    def batch_epoch(self, node: int, epoch: int, seed: int, count: int, comm_time: float):
+        batch_time = self.batch_time(node, epoch, seed)
+        per_grad = self.per_gradient_time(batch_time)
+        return count * per_grad, int(math.floor(comm_time / per_grad)), batch_time
+
+    def mean_window_batch(self, window: float, n: int) -> float:
+        per_grad = self.mean_batch_time() / self.reference_batch
+        return n * window / per_grad
+
+
 @dataclass(frozen=True)
-class ShiftedExponential:
+class ShiftedExponential(_LinearProgress):
     """Batch completion time ``shift + Exp(rate)``.
 
     Mean is ``shift + 1/rate`` and the variance is ``1/rate**2``. Draws
@@ -57,8 +97,6 @@ class ShiftedExponential:
     rate: float
     shift: float
     reference_batch: int
-
-    per_gradient_model = False
 
     def __post_init__(self):
         if self.rate <= 0:
@@ -92,13 +130,11 @@ class ShiftedExponential:
 
 
 @dataclass(frozen=True)
-class DeterministicTiming:
+class DeterministicTiming(_LinearProgress):
     """Every batch takes exactly ``period`` seconds."""
 
     period: float
     reference_batch: int = 1
-
-    per_gradient_model = False
 
     def __post_init__(self):
         if self.period <= 0:
@@ -108,9 +144,6 @@ class DeterministicTiming:
 
     def batch_time(self, node: int, epoch: int, seed: int) -> float:
         return self.period
-
-    def per_gradient_time(self, batch_time: float) -> float:
-        return batch_time / self.reference_batch
 
     def mean_batch_time(self) -> float:
         return self.period
@@ -125,7 +158,7 @@ class DeterministicTiming:
 
 
 @dataclass(frozen=True)
-class TraceTiming:
+class TraceTiming(_LinearProgress):
     """Replay measured batch times from a recorded trace.
 
     ``table`` maps node index to the sequence of recorded batch times;
@@ -135,14 +168,17 @@ class TraceTiming:
     table: tuple
     reference_batch: int
 
-    per_gradient_model = False
+    def __post_init__(self):
+        if not self.table or not all(len(times) for times in self.table):
+            raise ValueError("a timing trace needs at least one batch time per node")
+        if not all(0.0 < t < math.inf for times in self.table for t in times):
+            raise ValueError("trace batch times must be positive and finite")
+        if self.reference_batch < 1:
+            raise ValueError(f"reference batch must be positive, got {self.reference_batch}")
 
     def batch_time(self, node: int, epoch: int, seed: int) -> float:
         times = self.table[node]
         return times[(epoch - 1) % len(times)]
-
-    def per_gradient_time(self, batch_time: float) -> float:
-        return batch_time / self.reference_batch
 
     def mean_batch_time(self) -> float:
         return float(np.mean([t for times in self.table for t in times]))
@@ -170,9 +206,17 @@ def load_timing_trace(path, reference_batch: int) -> TraceTiming:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            node, epoch, value = int(row[0]), int(row[1]), float(row[2])
-            if value <= 0:
-                raise ValueError(f"{path}:{lineno}: batch time must be positive, got {value}")
+            try:
+                node, epoch, value = row
+                node, epoch, value = int(node), int(epoch), float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected node,epoch,batch_time_seconds, "
+                                 f"got {row}") from None
+            if node < 0:
+                raise ValueError(f"{path}:{lineno}: node must be non-negative, got {node}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{path}:{lineno}: batch time must be positive and finite, "
+                                 f"got {value}")
             rows.setdefault(node, []).append((epoch, value))
     if not rows:
         raise ValueError(f"{path}: no timing rows found")
@@ -204,7 +248,6 @@ class GroupedPauseTiming:
     assignment: tuple
     base_gradient_time: float
 
-    per_gradient_model = True
     # Pauses cut most windows far below window // g gradients, so the first
     # block of a long window is capped rather than sized for no pauses.
     FIRST_BLOCK = 4096
@@ -291,6 +334,23 @@ class GroupedPauseTiming:
         for pause in self.pauses(node, epoch, seed, end)[start_index:].tolist():
             elapsed += pause
         return elapsed, end
+
+    def window_epoch(self, node: int, epoch: int, seed: int, window: float, comm_time: float):
+        """``(b_i, a_i, T_i)``: the communication window continues the epoch's pause stream."""
+        count, busy, nxt = self.compute_window(node, epoch, seed, window)
+        extra, _, _ = self.compute_window(node, epoch, seed, comm_time, start_index=nxt)
+        return count, extra, busy
+
+    def batch_epoch(self, node: int, epoch: int, seed: int, count: int, comm_time: float):
+        """``(duration, a_i, T_i)``; T_i is the duration."""
+        busy, nxt = self.fixed_count_time(node, epoch, seed, count)
+        extra, _, _ = self.compute_window(node, epoch, seed, comm_time, start_index=nxt)
+        return busy, extra, busy
+
+    def mean_window_batch(self, window: float, n: int) -> float:
+        """Sum over nodes of the window divided by the mean time per gradient and pause."""
+        return float(sum(window / (self.base_gradient_time + self.mean_pause(i))
+                         for i in range(n)))
 
     def mean_pause(self, node: int) -> float:
         j = self.assignment[node]

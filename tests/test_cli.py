@@ -194,6 +194,76 @@ class TestRunExperiment:
         assert (outdir / "fmb_seed21.csv").exists()
 
 
+def trace_config(tmp_path, outdir, rows=None, **timing_keys):
+    """A small trace-timing config on complete(4); ``rows`` replaces the CSV's data rows."""
+    csv_path = TIMING_TRACE
+    if rows is not None:
+        csv_path = tmp_path / "times.csv"
+        csv_path.write_text("node,epoch,batch_time_seconds\n" + "\n".join(rows) + "\n")
+    payload = {
+        "mode": "fmb",
+        "objective": {"kind": "linear_regression", "dim": 3, "noise_var": 0.001, "seed": 6},
+        "topology": {"kind": "complete", "n": 4},
+        "timing": {"kind": "trace", "path": str(csv_path), "reference_batch": 10,
+                   **timing_keys},
+        "schedule": {"offset": 20.0},
+        "run": {"tau": 2, "communication_time": 0.5, "batch": 42, "radius": 6.0, "seed": 15},
+        "output": {"directory": str(outdir)},
+    }
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestTraceTimingFailsClosed:
+    def test_trace_with_fewer_nodes_than_the_graph(self, tmp_path, capsys):
+        path = paused_config(tmp_path, tmp_path / "out", timing={})
+        payload = json.loads(path.read_text())
+        payload["timing"] = {"kind": "trace", "path": str(TIMING_TRACE), "reference_batch": 10}
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "timing.path" in err and "4 nodes" in err and "10 nodes" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, value", [
+        ("shifted_exponential", 0), ("deterministic", -3), ("deterministic", "2"),
+        ("trace", 0), ("trace", -3), ("trace", 2.0),
+    ])
+    def test_reference_batch_must_be_a_positive_integer(self, tmp_path, capsys, kind, value):
+        path = trace_config(tmp_path, tmp_path / "out")
+        payload = json.loads(path.read_text())
+        extra = {"shifted_exponential": {"rate": 0.6667, "shift": 1.0},
+                 "deterministic": {"period": 2.0}, "trace": {"path": str(TIMING_TRACE)}}[kind]
+        payload["timing"] = {"kind": kind, "reference_batch": value, **extra}
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "timing.reference_batch" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "x"])
+    def test_batch_times_must_be_positive_and_finite(self, tmp_path, capsys, bad):
+        rows = ["0,1,1.5", "1,1,2.0", f"2,1,{bad}", "3,1,1.0"]
+        path = trace_config(tmp_path, tmp_path / "out", rows=rows)
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "timing.path" in err and "times.csv:4" in err
+
+    @pytest.mark.parametrize("row", ["2,1", "2,1,1.0,7", "-1,1,1.0"])
+    def test_malformed_rows_cite_their_line(self, tmp_path, capsys, row):
+        rows = ["0,1,1.5", "1,1,2.0", row, "2,1,1.0", "3,1,1.0"]
+        path = trace_config(tmp_path, tmp_path / "out", rows=rows)
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "timing.path" in err and "times.csv:4" in err
+
+    def test_a_trace_with_more_nodes_than_the_graph_runs(self, tmp_path):
+        rows = ["0,1,1.5", "1,1,2.0", "2,1,1.0", "3,1,1.0", "4,1,3.0"]
+        path = trace_config(tmp_path, tmp_path / "out", rows=rows)
+        assert cli.main(["run", str(path)]) == 0
+
+
 class TestAutoResolution:
     # Exact floats: the anytime work scale comes from each timing model's
     # expected window batch and the matched window from its completion stats.

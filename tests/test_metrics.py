@@ -14,7 +14,6 @@ def record(epoch, loss_b, loss_c, b, a, wall_end=None, primal=None, n=2, dim=3):
     a = np.asarray(a, dtype=int)
     return engine.EpochRecord(
         epoch=epoch,
-        wall_start=float(epoch - 1),
         wall_end=float(wall_end if wall_end is not None else epoch),
         compute_duration=1.0,
         batch_times=np.ones(n),

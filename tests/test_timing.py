@@ -103,6 +103,18 @@ class TestTraceReplay:
         with pytest.raises(ValueError, match="positive"):
             timing.load_timing_trace(path, reference_batch=1)
 
+    @pytest.mark.parametrize("table, reference_batch, match", [
+        ((), 1, "at least one"),
+        (((1.0,), ()), 1, "at least one"),
+        (((1.0, math.nan),), 1, "finite"),
+        (((math.inf,),), 1, "finite"),
+        (((0.0,),), 1, "positive"),
+        (((1.0,),), 0, "reference batch"),
+    ])
+    def test_constructor_validates_its_inputs(self, table, reference_batch, match):
+        with pytest.raises(ValueError, match=match):
+            timing.TraceTiming(table=table, reference_batch=reference_batch)
+
 
 class TestGroupedPause:
     def make_model(self, **kwargs):
