@@ -193,9 +193,11 @@ def parse_config(path) -> ExperimentSpec:
         _get(tim, "path", "timing", str)
     else:
         raise ConfigError(f"key 'timing.kind' unknown: {tkind!r}")
-    if tkind != "grouped_pause" and _get(tim, "reference_batch", "timing", int) < 1:
-        raise ConfigError(f"key 'timing.reference_batch' must be an integer >= 1, "
-                          f"got {tim['reference_batch']!r}")
+    if tkind != "grouped_pause":
+        batch = _get(tim, "reference_batch", "timing", int)
+        if batch < 1 or not _is_finite(batch):
+            raise ConfigError(f"key 'timing.reference_batch' must be an integer >= 1 within "
+                              f"the float range, got {batch!r}")
 
     sched = dict(raw.get("schedule", {}))
     _check_keys(sched, {"offset", "work_scale"}, "schedule")

@@ -8,6 +8,11 @@ repeated multiplication by the mixing matrix; a parallel scalar consensus
 estimates the global batch size used for normalization. In the update
 phase every node maps its new dual variable to the primal ball.
 
+The two modes differ only in the compute phase, which the timing model's
+``window_epoch`` or ``batch_epoch`` answers for each node, and in when the
+epoch ends. One body runs the rest over (n, d) primal and dual arrays whose
+row i is node i's.
+
 Gradients are computed for real; only the clock is simulated. A run is a
 pure function of its config, including the seed: per-node work may be
 reordered or parallelized without changing a single output bit because

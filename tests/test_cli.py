@@ -194,8 +194,11 @@ class TestRunExperiment:
         assert (outdir / "fmb_seed21.csv").exists()
 
 
-def trace_config(tmp_path, outdir, rows=None, **timing_keys):
-    """A small trace-timing config on complete(4); ``rows`` replaces the CSV's data rows."""
+def trace_config(tmp_path, outdir, rows=None, **sections):
+    """A small trace-timing config on complete(4).
+
+    ``rows`` replaces the CSV's data rows; ``sections`` replace whole sections.
+    """
     csv_path = TIMING_TRACE
     if rows is not None:
         csv_path = tmp_path / "times.csv"
@@ -204,11 +207,11 @@ def trace_config(tmp_path, outdir, rows=None, **timing_keys):
         "mode": "fmb",
         "objective": {"kind": "linear_regression", "dim": 3, "noise_var": 0.001, "seed": 6},
         "topology": {"kind": "complete", "n": 4},
-        "timing": {"kind": "trace", "path": str(csv_path), "reference_batch": 10,
-                   **timing_keys},
+        "timing": {"kind": "trace", "path": str(csv_path), "reference_batch": 10},
         "schedule": {"offset": 20.0},
         "run": {"tau": 2, "communication_time": 0.5, "batch": 42, "radius": 6.0, "seed": 15},
         "output": {"directory": str(outdir)},
+        **sections,
     }
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(payload))
@@ -217,10 +220,7 @@ def trace_config(tmp_path, outdir, rows=None, **timing_keys):
 
 class TestTraceTimingFailsClosed:
     def test_trace_with_fewer_nodes_than_the_graph(self, tmp_path, capsys):
-        path = paused_config(tmp_path, tmp_path / "out", timing={})
-        payload = json.loads(path.read_text())
-        payload["timing"] = {"kind": "trace", "path": str(TIMING_TRACE), "reference_batch": 10}
-        path.write_text(json.dumps(payload))
+        path = trace_config(tmp_path, tmp_path / "out", topology={"kind": "testbed"})
         assert cli.main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert "timing.path" in err and "4 nodes" in err and "10 nodes" in err
@@ -228,15 +228,13 @@ class TestTraceTimingFailsClosed:
 
     @pytest.mark.parametrize("kind, value", [
         ("shifted_exponential", 0), ("deterministic", -3), ("deterministic", "2"),
-        ("trace", 0), ("trace", -3), ("trace", 2.0),
+        ("trace", 0), ("trace", -3), ("trace", 2.0), ("shifted_exponential", 10**400),
     ])
     def test_reference_batch_must_be_a_positive_integer(self, tmp_path, capsys, kind, value):
-        path = trace_config(tmp_path, tmp_path / "out")
-        payload = json.loads(path.read_text())
         extra = {"shifted_exponential": {"rate": 0.6667, "shift": 1.0},
                  "deterministic": {"period": 2.0}, "trace": {"path": str(TIMING_TRACE)}}[kind]
-        payload["timing"] = {"kind": kind, "reference_batch": value, **extra}
-        path.write_text(json.dumps(payload))
+        path = trace_config(tmp_path, tmp_path / "out",
+                            timing={"kind": kind, "reference_batch": value, **extra})
         assert cli.main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert "timing.reference_batch" in err
