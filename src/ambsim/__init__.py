@@ -14,7 +14,7 @@ from .engine import (EpochRecord, RunConfig, average_consensus, matched_compute_
 from .metrics import (BoundConstants, BoundReport, ErrorSeries, RegretSeries, RunTrace,
                       SpeedupReport, bound_report, empirical_regret, error_vs_walltime,
                       evaluate_regret_bound, expected_regret_bound, speedup_measurement,
-                      time_to_reach)
+                      time_to_reach, worst_node_loss)
 from .objectives import (EmptyBatchError, EstimatedConstants, LinearRegressionObjective,
                          MulticlassLogisticObjective, estimate_constants,
                          gradient_variance_at, make_linear_regression,

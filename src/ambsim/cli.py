@@ -210,16 +210,10 @@ def parse_config(path) -> ExperimentSpec:
     _get(run, "tau", "run", int)
     _get(run, "seed", "run", int)
     run["compute_time"] = _number_or_auto(run, "compute_time", "run", 1.0)
-    run.setdefault("communication_time", 0.5)
-    _get(run, "communication_time", "run", float)
-    run["communication_time"] = float(run["communication_time"])
-    if "batch" in run:
-        _get(run, "batch", "run", int)
-    else:
-        run["batch"] = None
+    run["communication_time"] = float(_get(run, "communication_time", "run", float, 0.5))
+    run["batch"] = _get(run, "batch", "run", int, None)
     run["radius"] = _number_or_auto(run, "radius", "run", "auto")
-    run.setdefault("holdout", 0)
-    _get(run, "holdout", "run", int)
+    run["holdout"] = _get(run, "holdout", "run", int, 0)
 
     out = dict(raw.get("output", {}))
     _check_keys(out, {"directory", "repeats", "seeds", "paired", "bound_report"}, "output")
@@ -297,20 +291,14 @@ def build_timing(section: dict):
         raise ConfigError(f"key 'timing.path': {exc}") from None
 
 
-def _mean_fixed_batch_time(model, graph, batch):
-    counts = engine._fmb_batches(batch, graph.n)
-    mean, _ = model.completion_stats(counts)
-    return mean
-
-
 def _resolve_compute_time(spec, graph, tmodel):
     value = spec.run["compute_time"]
     if value != "auto":
         return float(value)
     if spec.run["batch"] is None:
         raise ConfigError("run.compute_time 'auto' needs run.batch for the matched pairing")
-    return engine.matched_compute_time(spec.run["batch"], graph.n,
-                                       _mean_fixed_batch_time(tmodel, graph, spec.run["batch"]))
+    mean, _ = tmodel.completion_stats(engine._fmb_batches(spec.run["batch"], graph.n))
+    return engine.matched_compute_time(spec.run["batch"], graph.n, mean)
 
 
 def _resolve_radius(spec, model) -> float:
@@ -463,12 +451,11 @@ def _bound_constants(trace: metrics.RunTrace) -> metrics.BoundConstants:
 def run_experiment(spec: ExperimentSpec) -> int:
     """Execute the spec: one run per seed, paired comparison if requested."""
     outdir = spec.output["directory"]
-    os.makedirs(outdir, exist_ok=True)
     summary = [SUMMARY_HEADER]
     compare_rows = [COMPARE_HEADER]
     matrix = None
 
-    def configured(seed, mode=None):
+    def configured(seed, mode):
         # Every run of one experiment shares its graph and scheme, so the
         # mixing matrix is built and validated once.
         nonlocal matrix
@@ -477,14 +464,21 @@ def run_experiment(spec: ExperimentSpec) -> int:
             matrix = topology.build_consensus_matrix(config.graph, config.scheme)
         return replace(config, matrix=matrix)
 
-    for seed in _seeds(spec):
+    seeds = _seeds(spec)
+    modes = ("amb", "fmb") if spec.output["paired"] else (spec.mode,)
+    # A config rejected while building the first seed's runs leaves no directory.
+    built = {(seeds[0], mode): configured(seeds[0], mode) for mode in modes} if seeds else {}
+    os.makedirs(outdir, exist_ok=True)
+    for seed in seeds:
+        traces = {}
+        for mode in modes:
+            config = built.pop((seed, mode), None) or configured(seed, mode)
+            trace = traces[mode] = engine.run(config)
+            write_trace_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}.csv"))
+            write_nodes_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}_nodes.csv"))
+            summary.append(_summary_row(seed, trace))
         if spec.output["paired"]:
-            trace_a = engine.run(configured(seed, "amb"))
-            trace_f = engine.run(configured(seed, "fmb"))
-            for trace, tag in ((trace_a, "amb"), (trace_f, "fmb")):
-                write_trace_csv(trace, os.path.join(outdir, f"{tag}_seed{seed}.csv"))
-                write_nodes_csv(trace, os.path.join(outdir, f"{tag}_seed{seed}_nodes.csv"))
-                summary.append(_summary_row(seed, trace))
+            trace_a, trace_f = traces["amb"], traces["fmb"]
             report = metrics.speedup_measurement(trace_a, trace_f)
             cross = float("nan")
             if trace_a.error is not None and trace_f.error is not None:
@@ -501,16 +495,11 @@ def run_experiment(spec: ExperimentSpec) -> int:
                 _fmt(float(trace_f.error.gap[-1]) if trace_f.error is not None else float("nan")),
                 _fmt(cross),
             ]))
-        else:
-            trace = engine.run(configured(seed))
-            write_trace_csv(trace, os.path.join(outdir, f"{spec.mode}_seed{seed}.csv"))
-            write_nodes_csv(trace, os.path.join(outdir, f"{spec.mode}_seed{seed}_nodes.csv"))
-            summary.append(_summary_row(seed, trace))
-            if spec.output["bound_report"]:
-                report = metrics.bound_report(trace, _bound_constants(trace))
-                with open(os.path.join(outdir, f"bounds_seed{seed}.txt"), "w",
-                          encoding="utf-8") as fh:
-                    fh.write("\n".join(report.lines()) + "\n")
+        elif spec.output["bound_report"]:
+            report = metrics.bound_report(trace, _bound_constants(trace))
+            with open(os.path.join(outdir, f"bounds_seed{seed}.txt"), "w",
+                      encoding="utf-8") as fh:
+                fh.write("\n".join(report.lines()) + "\n")
     with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(summary) + "\n")
     if spec.output["paired"]:
@@ -526,8 +515,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec = parse_config(args.config)
-    spec = replace(spec, output={**spec.output, "paired": True})
-    return run_experiment(spec)
+    return run_experiment(replace(spec, output={**spec.output, "paired": True}))
 
 
 def _cmd_topology(args) -> int:
@@ -555,8 +543,7 @@ def _cmd_bounds(args) -> int:
     spec = parse_config(args.config)
     seed = _seeds(spec)[0]
     trace = engine.run(build_run_config(spec, seed))
-    model = trace.config.objective
-    if getattr(model, "w_star", None) is None:
+    if getattr(trace.config.objective, "w_star", None) is None:
         print("bound constants unavailable for this objective (no analytic minimizer); "
               "nothing to report")
         return 0

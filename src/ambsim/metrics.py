@@ -26,6 +26,7 @@ __all__ = [
     "speedup_measurement",
     "bound_report",
     "time_to_reach",
+    "worst_node_loss",
 ]
 
 
@@ -53,14 +54,12 @@ class ErrorSeries:
 
     ``objective`` evaluates the across-node average primal; ``gap``
     subtracts the reference value (the holdout objective at the known
-    minimizer when available, else the series minimum); ``node_max`` is
-    the worst single node's holdout objective.
+    minimizer when available, else the series minimum).
     """
 
     wall: np.ndarray
     objective: np.ndarray
     gap: np.ndarray
-    node_max: np.ndarray
 
 
 @dataclass
@@ -130,6 +129,14 @@ def empirical_regret(records, optimum_value: float) -> RegretSeries:
                         from_batch_means=not exact)
 
 
+def _holdout_loss(objective, holdout):
+    """Mean holdout loss as a function of one primal vector."""
+    x, y = holdout
+    if len(x) == 0:
+        raise ValueError("holdout must be non-empty")
+    return lambda w: float(np.mean(objective.loss_batch(w, x, y)))
+
+
 def error_vs_walltime(records, objective, holdout, reference=None) -> ErrorSeries:
     """Holdout objective of the averaged iterate at each epoch boundary.
 
@@ -138,28 +145,25 @@ def error_vs_walltime(records, objective, holdout, reference=None) -> ErrorSerie
     iterate. The result is invariant to the ordering of the holdout
     samples (up to float round-off of the mean).
     """
-    x, y = holdout
-    if len(x) == 0:
-        raise ValueError("holdout must be non-empty")
-
-    def avg_loss(w):
-        return float(np.mean(objective.loss_batch(w, x, y)))
-
-    dim = objective.dim
-    wall = [0.0]
-    values = [avg_loss(np.zeros(dim))]
-    node_max = [values[0]]
-    for record in records:
-        wall.append(record.wall_end)
-        mean_primal = record.primal_after.mean(axis=0)
-        values.append(avg_loss(mean_primal))
-        node_max.append(max(avg_loss(record.primal_after[i])
-                            for i in range(record.primal_after.shape[0])))
-    values = np.array(values)
+    avg_loss = _holdout_loss(objective, holdout)
+    values = np.array([avg_loss(np.zeros(objective.dim))]
+                      + [avg_loss(record.primal_after.mean(axis=0)) for record in records])
     if reference is None:
         reference = float(values.min())
-    return ErrorSeries(wall=np.array(wall), objective=values,
-                       gap=values - reference, node_max=np.array(node_max))
+    return ErrorSeries(wall=np.array([0.0] + [record.wall_end for record in records]),
+                       objective=values, gap=values - reference)
+
+
+def worst_node_loss(records, objective, holdout) -> np.ndarray:
+    """The worst single node's holdout objective at each epoch boundary.
+
+    Index 0 is the zero iterate, as in :func:`error_vs_walltime`. Scoring
+    every node costs n holdout passes per epoch, so runs leave this out;
+    call it on a finished trace's records.
+    """
+    avg_loss = _holdout_loss(objective, holdout)
+    return np.array([avg_loss(np.zeros(objective.dim))]
+                    + [max(avg_loss(w) for w in record.primal_after) for record in records])
 
 
 def time_to_reach(error: ErrorSeries, level: float) -> float:
@@ -254,10 +258,9 @@ def speedup_measurement(trace_amb: RunTrace, trace_fmb: RunTrace) -> SpeedupRepo
     s_a = trace_amb.compute_time_total()
     s_f = trace_fmb.compute_time_total()
     n = trace_fmb.config.graph.n
-    counts = trace_fmb.records[0].batch_sizes if trace_fmb.records else None
-    if counts is None:
+    if not trace_fmb.records:
         raise ValueError("fixed-batch trace has no epochs")
-    mu, sigma = trace_fmb.config.timing.completion_stats(counts)
+    mu, sigma = trace_fmb.config.timing.completion_stats(trace_fmb.records[0].batch_sizes)
     return SpeedupReport(
         compute_time_fixed_window=s_a,
         compute_time_fixed_batch=s_f,
@@ -324,11 +327,8 @@ def bound_report(trace: RunTrace, constants: BoundConstants) -> BoundReport:
     batches = trace.global_batches[trace.global_batches > 0]
     mean_inv = float(np.mean(1.0 / batches)) if batches.size else float("inf")
     expected = expected_regret_bound(constants, trace.tau, mean_potential, mean_inv, eps)
-    empirical = None
-    holds = None
-    if trace.regret is not None:
-        empirical = float(trace.regret.potential[-1])
-        holds = empirical <= value
+    empirical = None if trace.regret is None else float(trace.regret.potential[-1])
+    holds = None if empirical is None else empirical <= value
     return BoundReport(constants=constants, eps=eps, tau=trace.tau, m=m, c_max=c_max,
                        mu=mu, regret_bound=value, regret_empirical=empirical,
                        expected_regret_bound_value=expected, holds=holds)
@@ -346,11 +346,8 @@ def build_trace(config, records, final_state=None) -> RunTrace:
     error = None
     if config.holdout > 0 and records:
         holdout = config.objective.holdout(config.holdout)
-        reference = None
         w_star = getattr(config.objective, "w_star", None)
-        if w_star is not None:
-            x, y = holdout
-            reference = float(np.mean(config.objective.loss_batch(w_star, x, y)))
+        reference = None if w_star is None else _holdout_loss(config.objective, holdout)(w_star)
         error = error_vs_walltime(records, config.objective, holdout, reference=reference)
     lambda2 = config.matrix.lambda2 if config.matrix is not None else float("nan")
     return RunTrace(

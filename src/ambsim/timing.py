@@ -183,9 +183,6 @@ class TraceTiming(_LinearProgress):
     def mean_batch_time(self) -> float:
         return float(np.mean([t for times in self.table for t in times]))
 
-    def std_batch_time(self) -> float:
-        return float(np.std([t for times in self.table for t in times]))
-
     def completion_stats(self, counts) -> tuple:
         scale = np.asarray(counts, dtype=float) / self.reference_batch
         per_node_mean = np.array([np.mean(times) for times in self.table])
@@ -196,7 +193,10 @@ class TraceTiming(_LinearProgress):
 
 
 def load_timing_trace(path, reference_batch: int) -> TraceTiming:
-    """Load a ``node,epoch,batch_time_seconds`` CSV into a replayable model."""
+    """Load a ``node,epoch,batch_time_seconds`` CSV into a replayable model.
+
+    Rows may come in any order; each node's epochs must run 1, 2, ..., k.
+    """
     rows = {}
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -217,15 +217,19 @@ def load_timing_trace(path, reference_batch: int) -> TraceTiming:
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{path}:{lineno}: batch time must be positive and finite, "
                                  f"got {value}")
-            rows.setdefault(node, []).append((epoch, value))
+            rows.setdefault(node, []).append((epoch, lineno, value))
     if not rows:
         raise ValueError(f"{path}: no timing rows found")
-    n = max(rows) + 1
     table = []
-    for node in range(n):
+    for node in range(max(rows) + 1):
         if node not in rows:
             raise ValueError(f"{path}: no rows for node {node}")
-        table.append(tuple(v for _, v in sorted(rows[node])))
+        ordered = sorted(rows[node])
+        for expected, (epoch, lineno, _) in enumerate(ordered, start=1):
+            if epoch != expected:
+                raise ValueError(f"{path}:{lineno}: node {node} has epoch {epoch} where epoch "
+                                 f"{expected} belongs; each node's epochs must run 1, 2, ...")
+        table.append(tuple(v for _, _, v in ordered))
     return TraceTiming(table=tuple(table), reference_batch=reference_batch)
 
 
@@ -236,11 +240,11 @@ class GroupedPauseTiming:
     Node ``i`` belongs to group ``assignment[i]``; after every gradient it
     pauses for ``max(0, N(group_means[j], group_vars[j]))``. The pause
     after gradient k of node i in epoch t is element k of the stream
-    ``(PAUSES, i, t)``, drawn as one block per window. Inside a
-    fixed compute window the pause is additionally truncated at the window
-    end (the node stays idle until the deadline). The base gradient time
-    sets the absolute scale, which the pause statistics alone do not pin
-    down.
+    ``(PAUSES, i, t)``, made once per (node, epoch) and drawn in blocks.
+    Inside a fixed compute window the pause is additionally truncated at
+    the window end (the node stays idle until the deadline). The base
+    gradient time sets the absolute scale, which the pause statistics
+    alone do not pin down.
     """
 
     group_means: tuple
@@ -278,74 +282,90 @@ class GroupedPauseTiming:
         return cls(tuple(float(m) for m in group_means), tuple(float(v) for v in group_vars),
                    assignment, base_gradient_time)
 
+    def _pause_stream(self, node: int, epoch: int, seed: int):
+        """Draws from stream ``(PAUSES, node, epoch)``: the k-th pause drawn, over all
+        calls, is element k of :meth:`pauses`. Negative draws mean no pause."""
+        j = self.assignment[node]
+        mean, sd = self.group_means[j], math.sqrt(self.group_vars[j])
+        rng = seeding.substream(seed, seeding.PAUSES, node, epoch)
+
+        def draw(count: int) -> np.ndarray:
+            draws = mean + sd * rng.standard_normal(count)
+            return np.where(draws > 0.0, draws, 0.0)
+
+        return draw
+
     def pauses(self, node: int, epoch: int, seed: int, count: int) -> np.ndarray:
         """The first ``count`` pauses of ``node`` in ``epoch``; element k follows gradient k.
 
         All come from the one stream ``(PAUSES, node, epoch)``. Its normal
         draws are prefix-stable, so element k never depends on ``count``.
-        Negative draws mean no pause.
         """
-        j = self.assignment[node]
-        rng = seeding.substream(seed, seeding.PAUSES, node, epoch)
-        draws = self.group_means[j] + math.sqrt(self.group_vars[j]) * rng.standard_normal(count)
-        return np.where(draws > 0.0, draws, 0.0)
+        return self._pause_stream(node, epoch, seed)(count)
 
     def pause(self, node: int, epoch: int, grad_index: int, seed: int) -> float:
         """Pause after gradient ``grad_index``: element ``grad_index`` of :meth:`pauses`."""
         return float(self.pauses(node, epoch, seed, grad_index + 1)[grad_index])
 
-    def compute_window(self, node: int, epoch: int, seed: int, window: float,
-                       start_index: int = 0):
-        """Gradients completed inside a window of ``window`` seconds.
+    def _walk(self, window: float, block: list, index: int, draw):
+        """``(count, busy_time, next_index)`` of a window that starts at pause ``index``.
 
-        Pauses that would overrun the window are truncated at the
-        deadline. Returns ``(count, busy_time, next_index)`` where
-        ``next_index`` continues the pause stream, so a follow-up window
-        in the same epoch draws fresh pauses. The pauses come in one block
-        sized for ``window // g`` gradients (at most ``FIRST_BLOCK``); when
-        more fit, from float rounding or a long pause-free window, a block
-        twice as long continues it.
+        ``block``, the pauses drawn so far, grows in place from ``draw``: to
+        cover ``window // g`` gradients (at most ``FIRST_BLOCK``), then to twice
+        its length plus two when more fit (float rounding, few pauses).
         """
         if not 0.0 <= window < math.inf:
             raise ValueError(f"window must be finite and non-negative, got {window}")
         g = self.base_gradient_time
-        first = int(min(window // g, self.FIRST_BLOCK))
-        block = self.pauses(node, epoch, seed, start_index + first).tolist()
+        first = index + int(min(window // g, self.FIRST_BLOCK))
+        block += draw(max(first - len(block), 0)).tolist()
         elapsed = 0.0
         count = 0
-        index = start_index
         while elapsed + g <= window:
             elapsed += g
             count += 1
             if index == len(block):
-                block = self.pauses(node, epoch, seed, 2 * index + 2).tolist()
-            pause = block[index]
+                block += draw(index + 2).tolist()
+            elapsed += min(block[index], window - elapsed)
             index += 1
-            elapsed += min(pause, window - elapsed)
         return count, elapsed, index
+
+    def _busy(self, count: int, pauses: list) -> float:
+        """Time for ``count`` gradients with ``pauses`` between them, summed in order."""
+        elapsed = count * self.base_gradient_time
+        for pause in pauses:
+            elapsed += pause
+        return elapsed
+
+    def compute_window(self, node: int, epoch: int, seed: int, window: float,
+                       start_index: int = 0):
+        """``(count, busy_time, next_index)`` of a window of ``window`` seconds.
+
+        Pauses that would overrun the window are truncated at the deadline. A
+        follow-up window in the same epoch continues the stream at ``next_index``.
+        """
+        return self._walk(window, [], start_index, self._pause_stream(node, epoch, seed))
 
     def fixed_count_time(self, node: int, epoch: int, seed: int, count: int,
                          start_index: int = 0):
         """Time to finish exactly ``count`` gradients (pauses between them, none after the last)."""
         if count == 0:
             return 0.0, start_index
-        elapsed = count * self.base_gradient_time
         end = start_index + count - 1
-        for pause in self.pauses(node, epoch, seed, end)[start_index:].tolist():
-            elapsed += pause
-        return elapsed, end
+        return self._busy(count, self.pauses(node, epoch, seed, end)[start_index:].tolist()), end
 
     def window_epoch(self, node: int, epoch: int, seed: int, window: float, comm_time: float):
-        """``(b_i, a_i, T_i)``: the communication window continues the epoch's pause stream."""
-        count, busy, nxt = self.compute_window(node, epoch, seed, window)
-        extra, _, _ = self.compute_window(node, epoch, seed, comm_time, start_index=nxt)
-        return count, extra, busy
+        """``(b_i, a_i, T_i)``: the communication window continues the compute window's pauses."""
+        draw, block = self._pause_stream(node, epoch, seed), []
+        count, busy, nxt = self._walk(window, block, 0, draw)
+        return count, self._walk(comm_time, block, nxt, draw)[0], busy
 
     def batch_epoch(self, node: int, epoch: int, seed: int, count: int, comm_time: float):
         """``(duration, a_i, T_i)``; T_i is the duration."""
-        busy, nxt = self.fixed_count_time(node, epoch, seed, count)
-        extra, _, _ = self.compute_window(node, epoch, seed, comm_time, start_index=nxt)
-        return busy, extra, busy
+        draw = self._pause_stream(node, epoch, seed)
+        block = draw(max(count - 1, 0)).tolist()
+        busy = self._busy(count, block)
+        return busy, self._walk(comm_time, block, len(block), draw)[0], busy
 
     def mean_window_batch(self, window: float, n: int) -> float:
         """Sum over nodes of the window divided by the mean time per gradient and pause."""

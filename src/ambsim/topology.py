@@ -165,10 +165,6 @@ class ConsensusMatrix:
     columns: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 def weight_matrix(graph: Graph, scheme: str = "lazy-metropolis") -> np.ndarray:
     """Raw weight matrix for ``graph`` under ``scheme`` (no validation).

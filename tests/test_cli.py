@@ -225,6 +225,7 @@ class TestTraceTimingFailsClosed:
         err = capsys.readouterr().err
         assert "timing.path" in err and "4 nodes" in err and "10 nodes" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, value", [
         ("shifted_exponential", 0), ("deterministic", -3), ("deterministic", "2"),
@@ -239,6 +240,7 @@ class TestTraceTimingFailsClosed:
         err = capsys.readouterr().err
         assert "timing.reference_batch" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "x"])
     def test_batch_times_must_be_positive_and_finite(self, tmp_path, capsys, bad):
@@ -247,6 +249,7 @@ class TestTraceTimingFailsClosed:
         assert cli.main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert "timing.path" in err and "times.csv:4" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("row", ["2,1", "2,1,1.0,7", "-1,1,1.0"])
     def test_malformed_rows_cite_their_line(self, tmp_path, capsys, row):
@@ -255,6 +258,19 @@ class TestTraceTimingFailsClosed:
         assert cli.main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert "timing.path" in err and "times.csv:4" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows, line", [
+        (["0,1,1.0", "0,3,3.0", "0,3,7.0"], 3),
+        (["1,1,2.0", "0,1,1.0", "0,1,3.0", "2,1,1.0", "3,1,1.0"], 4),
+        (["0,2,1.0", "1,1,2.0", "2,1,1.0", "3,1,1.0"], 2),
+    ])
+    def test_epochs_must_not_skip_or_repeat(self, tmp_path, capsys, rows, line):
+        path = trace_config(tmp_path, tmp_path / "out", rows=rows)
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "timing.path" in err and f"times.csv:{line}" in err and "epoch" in err
+        assert not (tmp_path / "out").exists()
 
     def test_a_trace_with_more_nodes_than_the_graph_runs(self, tmp_path):
         rows = ["0,1,1.5", "1,1,2.0", "2,1,1.0", "3,1,1.0", "4,1,3.0"]
@@ -348,6 +364,15 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_rejected_by_its_fixed_batch_run_writes_nothing(self, tmp_path, capsys):
+        # The fixed-window run of the pair is valid; only the fixed-batch run needs batch >= 1.
+        run = {"tau": 2, "compute_time": 2.5, "batch": 0, "radius": 6.0, "seed": 21}
+        path = full_config(tmp_path, tmp_path / "out", run=run)
+        assert cli.main(["compare", str(path)]) == 1
+        assert "batch" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_serial_mode_runs_node_zero_of_the_assignment(self, tmp_path):
         path = paused_config(tmp_path, tmp_path / "out")

@@ -122,21 +122,54 @@ class TestErrorSeries:
         reference = float(np.mean(model.loss_batch(model.w_star, x, y)))
         assert np.allclose(trace.error.gap, trace.error.objective - reference)
 
-    def test_node_max_dominates_average(self):
-        trace, _ = self.run_small()
-        assert np.all(trace.error.node_max >= trace.error.objective - 1e-12)
+    def test_scores_only_the_averaged_iterate(self):
+        trace, model = self.run_small()
+
+        class Counting:
+            dim = model.dim
+            calls = 0
+
+            def loss_batch(self, w, x, y):
+                Counting.calls += 1
+                return model.loss_batch(w, x, y)
+
+        series = metrics.error_vs_walltime(trace.records, Counting(), model.holdout(400))
+        assert Counting.calls == trace.tau + 1
+        assert np.array_equal(series.objective, trace.error.objective)
+
+    def test_worst_node_loss_matches_a_per_row_loop(self):
+        trace, model = self.run_small()
+        x, y = model.holdout(400)
+
+        def loss(w):
+            return float(np.mean(model.loss_batch(w, x, y)))
+
+        expected = [loss(np.zeros(model.dim))]
+        for record in trace.records:
+            primal = record.primal_after
+            expected.append(max(loss(primal[i]) for i in range(primal.shape[0])))
+        got = metrics.worst_node_loss(trace.records, model, (x, y))
+        assert np.array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
+
+    def test_worst_node_dominates_average(self):
+        trace, model = self.run_small()
+        worst = metrics.worst_node_loss(trace.records, model, model.holdout(400))
+        assert worst.shape == trace.error.objective.shape
+        assert np.all(worst >= trace.error.objective - 1e-12)
 
     def test_empty_holdout_rejected(self):
         trace, model = self.run_small()
+        empty = (np.zeros((0, 12)), np.zeros(0))
         with pytest.raises(ValueError, match="non-empty"):
-            metrics.error_vs_walltime(trace.records, model, (np.zeros((0, 12)), np.zeros(0)))
+            metrics.error_vs_walltime(trace.records, model, empty)
+        with pytest.raises(ValueError, match="non-empty"):
+            metrics.worst_node_loss(trace.records, model, empty)
 
     def test_time_to_reach(self):
         series = metrics.ErrorSeries(
             wall=np.array([0.0, 1.0, 2.0, 3.0]),
             objective=np.array([4.0, 3.0, 1.0, 0.5]),
-            gap=np.array([4.0, 3.0, 1.0, 0.5]),
-            node_max=np.array([4.0, 3.0, 1.0, 0.5]))
+            gap=np.array([4.0, 3.0, 1.0, 0.5]))
         assert metrics.time_to_reach(series, 1.0) == 2.0
         assert math.isnan(metrics.time_to_reach(series, 0.1))
 

@@ -253,7 +253,8 @@ class TestPauseBlocks:
         got = model.compute_window(0, 1, seed=8, window=1.0, start_index=start_index)
         assert got == want
         assert got[0] == 10 and got[2] == start_index + 10
-        assert len(calls) == 2  # the block sized by the floor, then one twice as long
+        # The block sized by the floor grows from the same generator, not a second one.
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("model", MODELS)
     def test_capped_first_block_regrows_to_the_same_pauses(self, model, monkeypatch):
@@ -262,6 +263,36 @@ class TestPauseBlocks:
             for window in (14.5, 60.0, 202.7):
                 got = model.compute_window(1, 3, seed=4, window=window, start_index=start_index)
                 assert got == reference_window(model, 1, 3, 4, window, start_index)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_epochs_match_two_separate_windows(self, model):
+        # The communication window continues the compute phase's stream at
+        # the index where that phase stopped.
+        for node in range(len(model.assignment)):
+            for window, comm in ((0.0, 7.5), (14.5, 0.0), (60.0, 14.5), (202.7, 60.0)):
+                count, busy, nxt = reference_window(model, node, 2, 5, window)
+                extra = reference_window(model, node, 2, 5, comm, nxt)[0]
+                assert model.window_epoch(node, 2, 5, window, comm) == (count, extra, busy)
+            for count, comm in ((0, 14.5), (1, 60.0), (10, 0.0), (37, 60.0)):
+                busy, nxt = reference_fixed_count(model, node, 4, 6, count)
+                extra = reference_window(model, node, 4, 6, comm, nxt)[0]
+                assert model.batch_epoch(node, 4, 6, count, comm) == (busy, extra, busy)
+
+    @pytest.mark.parametrize("first_block", [timing.GroupedPauseTiming.FIRST_BLOCK, 2])
+    def test_one_stream_per_node_and_epoch(self, monkeypatch, first_block):
+        # A block of 2 makes both windows regrow it; the stream still starts once.
+        monkeypatch.setattr(timing.GroupedPauseTiming, "FIRST_BLOCK", first_block)
+        model = self.MODELS[0]
+        calls = []
+        substream = seeding.substream
+        monkeypatch.setattr(seeding, "substream",
+                            lambda *args: calls.append(args) or substream(*args))
+        for node in range(len(model.assignment)):
+            for epoch in (1, 2):
+                model.window_epoch(node, epoch, 3, 202.7, 60.0)
+                model.batch_epoch(node, epoch, 3, 37, 60.0)
+        pairs = [(node, epoch) for node in range(len(model.assignment)) for epoch in (1, 2)]
+        assert calls == [(3, seeding.PAUSES, node, epoch) for node, epoch in pairs for _ in (0, 1)]
 
     def test_rejects_non_finite_inputs(self):
         with pytest.raises(ValueError, match="group means"):
@@ -278,6 +309,10 @@ class TestPauseBlocks:
         for window in (math.inf, math.nan, -1.0):
             with pytest.raises(ValueError, match="window"):
                 model.compute_window(0, 1, seed=1, window=window)
+            with pytest.raises(ValueError, match="window"):
+                model.window_epoch(0, 1, 1, 5.0, window)
+            with pytest.raises(ValueError, match="window"):
+                model.batch_epoch(0, 1, 1, 3, window)
 
 
 class TestSpeedupFormulas:
