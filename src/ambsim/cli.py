@@ -70,6 +70,13 @@ def _get(section: dict, key: str, path: str, kind, default="__required__"):
     return value
 
 
+def _int_at_least(section: dict, key: str, path: str, minimum: int, default="__required__"):
+    value = _get(section, key, path, int, default)
+    if value is not None and value < minimum:
+        raise ConfigError(f"key '{path}.{key}' must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _number_or_auto(section, key, path, default):
     value = section.get(key, default)
     if value == "auto":
@@ -120,13 +127,13 @@ def parse_config(path) -> ExperimentSpec:
         _check_keys(obj, {"kind", "dim", "noise_var", "seed"}, "objective")
         obj.setdefault("noise_var", 1e-3)
         _get(obj, "dim", "objective", int)
-        _get(obj, "seed", "objective", int)
+        _int_at_least(obj, "seed", "objective", 0)
     elif kind == "logistic_regression":
         _check_keys(obj, {"kind", "classes", "dim", "seed", "csv_path", "cluster_spread"},
                     "objective")
         _get(obj, "classes", "objective", int)
         _get(obj, "dim", "objective", int)
-        _get(obj, "seed", "objective", int)
+        _int_at_least(obj, "seed", "objective", 0)
         obj.setdefault("cluster_spread", 2.0)
     else:
         raise ConfigError(f"key 'objective.kind' unknown: {kind!r}")
@@ -207,13 +214,17 @@ def parse_config(path) -> ExperimentSpec:
     run = dict(_get(raw, "run", "", dict))
     _check_keys(run, {"tau", "compute_time", "communication_time", "batch",
                       "radius", "seed", "holdout"}, "run")
-    _get(run, "tau", "run", int)
-    _get(run, "seed", "run", int)
+    _int_at_least(run, "tau", "run", 0)
+    _int_at_least(run, "seed", "run", 0)
     run["compute_time"] = _number_or_auto(run, "compute_time", "run", 1.0)
     run["communication_time"] = float(_get(run, "communication_time", "run", float, 0.5))
-    run["batch"] = _get(run, "batch", "run", int, None)
+    run["batch"] = _int_at_least(run, "batch", "run", 1, None)
     run["radius"] = _number_or_auto(run, "radius", "run", "auto")
-    run["holdout"] = _get(run, "holdout", "run", int, 0)
+    run["holdout"] = _int_at_least(run, "holdout", "run", 0, 0)
+    env_seed = os.environ.get("AMB_SEED")
+    if env_seed is not None and not (env_seed.isascii() and env_seed.isdigit()):
+        raise ConfigError(f"environment variable AMB_SEED must be an integer >= 0, "
+                          f"got {env_seed!r}")
 
     out = dict(raw.get("output", {}))
     _check_keys(out, {"directory", "repeats", "seeds", "paired", "bound_report"}, "output")
@@ -228,8 +239,10 @@ def parse_config(path) -> ExperimentSpec:
         _get(out, key, "output", bool)
     if out["seeds"] is not None:
         seeds = out["seeds"]
-        if not isinstance(seeds, list) or len(set(seeds)) != len(seeds):
-            raise ConfigError("key 'output.seeds' must be a list of distinct integers")
+        if (not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds)
+                or len(set(seeds)) != len(seeds)):
+            raise ConfigError(f"key 'output.seeds' must be a list of distinct integers >= 0, "
+                              f"got {seeds!r}")
 
     return ExperimentSpec(mode=mode, objective=obj, topology=topo, consensus=cons,
                           timing=tim, schedule=sched, run=run, output=out)
@@ -346,6 +359,16 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     compute_time = None
     if mode in ("amb", "serial"):
         compute_time = _resolve_compute_time(spec, graph, tmodel)
+    if spec.timing["kind"] == "grouped_pause":
+        # Each window is walked one gradient and pause at a time.
+        g = tmodel.base_gradient_time
+        windows = {"run.communication_time": spec.run["communication_time"],
+                   "run.compute_time": compute_time or 0.0}
+        for key, window in windows.items():
+            if window / g > tmodel.MAX_WINDOW_GRADIENTS:
+                raise ConfigError(f"key '{key}' fits {window / g:.3g} gradients of "
+                                  f"timing.base_gradient_time {g:g} in one window; at most "
+                                  f"{tmodel.MAX_WINDOW_GRADIENTS} are allowed")
     schedule = _resolve_schedule(spec, model, graph, tmodel, radius,
                                  compute_time if compute_time is not None else 1.0, mode)
     rounds = spec.consensus["rounds"]

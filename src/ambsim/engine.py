@@ -18,10 +18,14 @@ pure function of its config, including the seed: per-node work may be
 reordered or parallelized without changing a single output bit because
 every random draw is addressed by (stream, node, epoch), or by its index in
 a block drawn from one such address, and every reduction has a fixed order.
+The run derives the seeds of its hot streams (timing or pauses, samples,
+round counts) for a block of epochs at a time, in one vectorized pass; each
+node-epoch's generator is the one ``seeding.substream`` gives its address.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -43,6 +47,10 @@ __all__ = [
 ]
 
 MODES = ("amb", "fmb", "serial")
+
+# Addresses per stream family in one block of epochs: enough for the seed
+# hash to reach its per-address floor, few enough to keep the tables small.
+BLOCK_ADDRESSES = 4096
 
 
 @dataclass(frozen=True)
@@ -203,14 +211,44 @@ def average_consensus(matrix, values: np.ndarray, rounds: int) -> np.ndarray:
     return out
 
 
-def _resolve_rounds(config: RunConfig, t: int) -> np.ndarray:
+class _Streams:
+    """The hot streams of epochs ``first..last``, from seeds derived in one pass per family.
+
+    ``timing(node, epoch)`` is the generator of the timing model's stream
+    ``(stream, node, epoch)`` on the run seed (None for a model without
+    one), ``lanes(node, epoch)`` maps k to the generator of
+    ``(SAMPLES, node, epoch, k)`` on the objective seed, and
+    ``rounds(epoch)`` is the generator of ``(ROUNDS, epoch)``. Each equals
+    ``seeding.substream`` of its address bit for bit.
+    """
+
+    def __init__(self, config: RunConfig, first: int, last: int):
+        n, family = config.graph.n, config.timing.stream
+        self.first = first
+        self._timing = (None if family is None
+                        else seeding.StreamTable(config.seed, family, n, first, last))
+        self._samples = seeding.StreamTable(config.objective.seed, seeding.SAMPLES, n,
+                                            first, last, lanes=2)
+        self._rounds = seeding.seed_words(config.seed, seeding.ROUNDS, np.arange(first, last + 1))
+
+    def timing(self, node: int, epoch: int):
+        return None if self._timing is None else self._timing.generator(node, epoch)
+
+    def lanes(self, node: int, epoch: int):
+        return functools.partial(self._samples.generator, node, epoch)
+
+    def rounds(self, epoch: int) -> np.random.Generator:
+        return seeding.generator(self._rounds[epoch - self.first])
+
+
+def _resolve_rounds(config: RunConfig, t: int, streams: _Streams) -> np.ndarray:
     n = config.graph.n
     if config.rounds == "exact":
         return np.zeros(n, dtype=int)
     if isinstance(config.rounds, int):
         return np.full(n, config.rounds, dtype=int)
     _, low, high = config.rounds
-    return seeding.substream(config.seed, seeding.ROUNDS, t).integers(low, high + 1, size=n)
+    return streams.rounds(t).integers(low, high + 1, size=n)
 
 
 def _consensus_phase(config: RunConfig, messages: np.ndarray, scalars: np.ndarray,
@@ -242,15 +280,15 @@ def init_state(config: RunConfig) -> EngineState:
     return EngineState(primal=np.zeros(shape), dual=np.zeros(shape), wall=0.0)
 
 
-def _compute_phase(config: RunConfig, t: int):
+def _compute_phase(config: RunConfig, t: int, streams: _Streams):
     """Per-node (b_i, a_i, T_i) of an anytime epoch, from the timing model's ``window_epoch``."""
     n = config.graph.n
     b = np.zeros(n, dtype=int)
     a = np.zeros(n, dtype=int)
     times = np.zeros(n)
     for i in range(n):
-        b[i], a[i], times[i] = config.timing.window_epoch(i, t, config.seed, config.compute_time,
-                                                          config.comm_time)
+        b[i], a[i], times[i] = config.timing.window_epoch(i, t, streams.timing(i, t),
+                                                          config.compute_time, config.comm_time)
     return b, a, times
 
 
@@ -263,7 +301,7 @@ def _fmb_batches(batch: int, n: int) -> np.ndarray:
 
 
 def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
-                          batch_sizes: np.ndarray, extra: np.ndarray):
+                          batch_sizes: np.ndarray, extra: np.ndarray, streams: _Streams):
     """Draw each node's samples, average gradients, and record loss sums.
 
     Gradient rows of nodes without a batch stay zero.
@@ -277,7 +315,7 @@ def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
         want = batch_sizes[i] + (extra[i] if config.extended_losses else 0)
         if want == 0:
             continue
-        x, y = model.draw(i, t, int(want))
+        x, y = model.draw(i, t, int(want), streams.lanes(i, t))
         w = state.primal[i]
         losses = model.loss_batch(w, x, y)
         loss_b[i] = float(np.sum(losses[: batch_sizes[i]]))
@@ -288,7 +326,7 @@ def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
 
 
 def _dual_update(config: RunConfig, state: EngineState, t: int,
-                 batch_sizes: np.ndarray, grads: np.ndarray):
+                 batch_sizes: np.ndarray, grads: np.ndarray, streams: _Streams):
     """Consensus over weighted dual messages plus the primal map.
 
     Returns (primal rows, dual rows, consensus error, rounds used,
@@ -297,7 +335,7 @@ def _dual_update(config: RunConfig, state: EngineState, t: int,
     n = config.graph.n
     duals = state.dual
     global_batch = int(batch_sizes.sum())
-    rounds_per_node = _resolve_rounds(config, t)
+    rounds_per_node = _resolve_rounds(config, t, streams)
     degenerate = 0
     if global_batch == 0:
         # No gradients anywhere: carry the duals through an unweighted
@@ -330,11 +368,12 @@ def _dual_update(config: RunConfig, state: EngineState, t: int,
     return primal, z_next, worst, rounds_per_node, degenerate, global_batch == 0
 
 
-def _epoch(state: EngineState, config: RunConfig, t: int, b: np.ndarray, a: np.ndarray,
-           times: np.ndarray, compute: float, wall_end: float):
+def _epoch(state: EngineState, config: RunConfig, t: int, streams: _Streams, b: np.ndarray,
+           a: np.ndarray, times: np.ndarray, compute: float, wall_end: float):
     """The epoch after its compute phase: gradients, consensus, primal map, record."""
-    grads, loss_b, loss_c = _gradients_and_losses(config, state, t, b, a)
-    primal, dual, err, rounds_used, degenerate, empty = _dual_update(config, state, t, b, grads)
+    grads, loss_b, loss_c = _gradients_and_losses(config, state, t, b, a, streams)
+    primal, dual, err, rounds_used, degenerate, empty = _dual_update(config, state, t, b, grads,
+                                                                     streams)
     record = EpochRecord(
         epoch=t,
         wall_end=wall_end,
@@ -356,25 +395,32 @@ def _epoch(state: EngineState, config: RunConfig, t: int, b: np.ndarray, a: np.n
     return EngineState(primal=primal, dual=dual, wall=wall_end), record
 
 
-def run_amb_epoch(state: EngineState, config: RunConfig, t: int):
-    """One fixed-compute-window epoch; wall clock advances by exactly T + T_c."""
-    b, a, times = _compute_phase(config, t)
-    return _epoch(state, config, t, b, a, times, config.compute_time,
+def run_amb_epoch(state: EngineState, config: RunConfig, t: int, streams: _Streams):
+    """One fixed-compute-window epoch; wall clock advances by exactly T + T_c.
+
+    ``streams`` holds the seeds of a block of epochs that contains ``t``.
+    """
+    b, a, times = _compute_phase(config, t, streams)
+    return _epoch(state, config, t, streams, b, a, times, config.compute_time,
                   t * (config.compute_time + config.comm_time))
 
 
-def run_fmb_epoch(state: EngineState, config: RunConfig, t: int):
-    """One fixed-batch epoch; its duration is the slowest node's finishing time."""
+def run_fmb_epoch(state: EngineState, config: RunConfig, t: int, streams: _Streams):
+    """One fixed-batch epoch; its duration is the slowest node's finishing time.
+
+    ``streams`` is as in :func:`run_amb_epoch`.
+    """
     n = config.graph.n
     b = _fmb_batches(config.batch, n)
     durations = np.zeros(n)
     a = np.zeros(n, dtype=int)
     times = np.zeros(n)
     for i in range(n):
-        durations[i], a[i], times[i] = config.timing.batch_epoch(i, t, config.seed, int(b[i]),
-                                                                 config.comm_time)
+        durations[i], a[i], times[i] = config.timing.batch_epoch(i, t, streams.timing(i, t),
+                                                                 int(b[i]), config.comm_time)
     compute = float(durations.max())
-    return _epoch(state, config, t, b, a, times, compute, state.wall + compute + config.comm_time)
+    return _epoch(state, config, t, streams, b, a, times, compute,
+                  state.wall + compute + config.comm_time)
 
 
 def run(config: RunConfig):
@@ -388,8 +434,14 @@ def run(config: RunConfig):
         config = replace(config, matrix=build_consensus_matrix(config.graph, config.scheme))
     state = init_state(config)
     step = run_fmb_epoch if config.mode == "fmb" else run_amb_epoch
+    block = max(1, BLOCK_ADDRESSES // config.graph.n)
     records = []
-    for t in range(1, config.tau + 1):
-        state, record = step(state, config, t)
-        records.append(record)
+    for first in range(1, config.tau + 1, block):
+        last = min(first + block - 1, config.tau)
+        streams = _Streams(config, first, last)
+        for t in range(first, last + 1):
+            state, record = step(state, config, t, streams)
+            records.append(record)
+        # Free this block's tables before the next block's, and before the trace is scored.
+        del streams
     return metrics.build_trace(config, records, final_state=state)

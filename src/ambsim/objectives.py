@@ -3,7 +3,9 @@
 Models are immutable after construction. Sample streams are split per
 (node, epoch) from the model's own seed, so parallel nodes never share
 generator state and the first ``k`` samples of a stream do not depend on
-how many are requested.
+how many are requested. ``draw(node, epoch, count, lanes)`` takes the
+stream's generators from ``lanes(k)``, the generator of
+``(SAMPLES, node, epoch, k)``; without ``lanes`` it addresses them itself.
 
 All batch reductions use elementwise products followed by numpy's
 pairwise sums (no BLAS), so results are bit-stable across hosts with
@@ -13,6 +15,7 @@ different threading configurations.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +35,11 @@ __all__ = [
     "gradient_variance_at",
     "estimate_constants",
 ]
+
+
+def _sample_lanes(seed: int, node: int, epoch: int):
+    """``lane -> substream(seed, SAMPLES, node, epoch, lane)``."""
+    return functools.partial(seeding.substream, seed, seeding.SAMPLES, node, epoch)
 
 
 class EmptyBatchError(ValueError):
@@ -82,14 +90,11 @@ class LinearRegressionObjective:
             labels = labels + math.sqrt(self.noise_var) * rng_noise.standard_normal(count)
         return x, labels
 
-    def draw(self, node: int, epoch: int, count: int):
+    def draw(self, node: int, epoch: int, count: int, lanes=None):
         """First ``count`` samples of the (node, epoch) stream."""
+        lanes = lanes or _sample_lanes(self.seed, node, epoch)
         # The noise stream is materialized lazily; noise-free models skip it.
-        return self.draw_with(
-            seeding.substream(self.seed, seeding.SAMPLES, node, epoch, 0),
-            lambda: seeding.substream(self.seed, seeding.SAMPLES, node, epoch, 1),
-            count,
-        )
+        return self.draw_with(lanes(0), lambda: lanes(1), count)
 
     def holdout(self, count: int):
         return self.draw_with(
@@ -169,12 +174,9 @@ class MulticlassLogisticObjective:
         x[:, : self.feat_dim - 1] = self.centers[labels] + noise
         return x, labels
 
-    def draw(self, node: int, epoch: int, count: int):
-        return self.draw_with(
-            seeding.substream(self.seed, seeding.SAMPLES, node, epoch, 0),
-            seeding.substream(self.seed, seeding.SAMPLES, node, epoch, 1),
-            count,
-        )
+    def draw(self, node: int, epoch: int, count: int, lanes=None):
+        lanes = lanes or _sample_lanes(self.seed, node, epoch)
+        return self.draw_with(lanes(0), lanes(1), count)
 
     def holdout(self, count: int):
         return self.draw_with(

@@ -3,11 +3,11 @@
 Every model answers the same three calls, which are all the engine and
 the CLI know of timing:
 
-- ``window_epoch(node, epoch, seed, window, comm_time)`` returns
+- ``window_epoch(node, epoch, rng, window, comm_time)`` returns
   ``(b_i, a_i, T_i)`` for an anytime epoch: the gradients finished inside
   the compute window, the gradients the node could finish during the
   communication time that follows, and the time the node records.
-- ``batch_epoch(node, epoch, seed, count, comm_time)`` returns
+- ``batch_epoch(node, epoch, rng, count, comm_time)`` returns
   ``(duration, a_i, T_i)`` for a fixed-batch epoch: the time to finish
   ``count`` gradients, then a_i and T_i as above.
 - ``mean_window_batch(window, n)`` is the expected global batch of an
@@ -22,8 +22,14 @@ is T_i, and answer in closed form. The grouped-pause model instead charges
 a fixed time per gradient plus a random pause after each one, drawn per
 group; T_i is the node's realized busy time.
 
-All sampling is a pure function of (model, node, epoch, seed), repeatable
-across runs and thread schedules.
+A model's ``stream`` names the seed-tree family it draws from, or is None
+for a model that draws nothing. ``rng`` is then the generator of stream
+``(stream, node, epoch)`` on the run seed, which the caller derives (the
+engine from a table of seeds, one pass per block of epochs), and None for
+a model without a stream. ``batch_time``, ``pauses`` and the other
+seed-taking calls address the same stream themselves through
+``seeding.substream``. All sampling is therefore a pure function of
+(model, node, epoch, seed), repeatable across runs and thread schedules.
 """
 
 from __future__ import annotations
@@ -65,19 +71,26 @@ class _LinearProgress:
     """The timing protocol in closed form, from one batch time per (node, epoch).
 
     Partial gradients in progress at a deadline are discarded, hence the floors.
+    ``draw_batch_time(node, epoch, rng)`` gives T_i from the (node, epoch)
+    generator; ``batch_time(node, epoch, seed)`` addresses that generator itself.
     """
+
+    stream = None
+
+    def batch_time(self, node: int, epoch: int, seed: int) -> float:
+        return self.draw_batch_time(node, epoch, None)
 
     def per_gradient_time(self, batch_time: float) -> float:
         return batch_time / self.reference_batch
 
-    def window_epoch(self, node: int, epoch: int, seed: int, window: float, comm_time: float):
-        batch_time = self.batch_time(node, epoch, seed)
+    def window_epoch(self, node: int, epoch: int, rng, window: float, comm_time: float):
+        batch_time = self.draw_batch_time(node, epoch, rng)
         per_grad = self.per_gradient_time(batch_time)
         return (int(math.floor(window / per_grad)), int(math.floor(comm_time / per_grad)),
                 batch_time)
 
-    def batch_epoch(self, node: int, epoch: int, seed: int, count: int, comm_time: float):
-        batch_time = self.batch_time(node, epoch, seed)
+    def batch_epoch(self, node: int, epoch: int, rng, count: int, comm_time: float):
+        batch_time = self.draw_batch_time(node, epoch, rng)
         per_grad = self.per_gradient_time(batch_time)
         return count * per_grad, int(math.floor(comm_time / per_grad)), batch_time
 
@@ -98,6 +111,8 @@ class ShiftedExponential(_LinearProgress):
     shift: float
     reference_batch: int
 
+    stream = seeding.TIMING
+
     def __post_init__(self):
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
@@ -107,7 +122,10 @@ class ShiftedExponential(_LinearProgress):
             raise ValueError(f"reference batch must be positive, got {self.reference_batch}")
 
     def batch_time(self, node: int, epoch: int, seed: int) -> float:
-        rng = seeding.substream(seed, seeding.TIMING, node, epoch)
+        return self.draw_batch_time(node, epoch,
+                                    seeding.substream(seed, seeding.TIMING, node, epoch))
+
+    def draw_batch_time(self, node: int, epoch: int, rng) -> float:
         return self.shift + rng.exponential(1.0 / self.rate)
 
     def per_gradient_time(self, batch_time: float) -> float:
@@ -142,7 +160,7 @@ class DeterministicTiming(_LinearProgress):
         if self.reference_batch < 1:
             raise ValueError(f"reference batch must be positive, got {self.reference_batch}")
 
-    def batch_time(self, node: int, epoch: int, seed: int) -> float:
+    def draw_batch_time(self, node: int, epoch: int, rng) -> float:
         return self.period
 
     def mean_batch_time(self) -> float:
@@ -176,7 +194,7 @@ class TraceTiming(_LinearProgress):
         if self.reference_batch < 1:
             raise ValueError(f"reference batch must be positive, got {self.reference_batch}")
 
-    def batch_time(self, node: int, epoch: int, seed: int) -> float:
+    def draw_batch_time(self, node: int, epoch: int, rng) -> float:
         times = self.table[node]
         return times[(epoch - 1) % len(times)]
 
@@ -252,9 +270,13 @@ class GroupedPauseTiming:
     assignment: tuple
     base_gradient_time: float
 
+    stream = seeding.PAUSES
     # Pauses cut most windows far below window // g gradients, so the first
     # block of a long window is capped rather than sized for no pauses.
     FIRST_BLOCK = 4096
+    # A window walks one pause per gradient in Python, so configs whose
+    # windows fit more than this many gradients are rejected up front.
+    MAX_WINDOW_GRADIENTS = 1_000_000
 
     def __post_init__(self):
         if len(self.group_means) != len(self.group_vars):
@@ -282,12 +304,12 @@ class GroupedPauseTiming:
         return cls(tuple(float(m) for m in group_means), tuple(float(v) for v in group_vars),
                    assignment, base_gradient_time)
 
-    def _pause_stream(self, node: int, epoch: int, seed: int):
-        """Draws from stream ``(PAUSES, node, epoch)``: the k-th pause drawn, over all
-        calls, is element k of :meth:`pauses`. Negative draws mean no pause."""
+    def _pause_stream(self, node: int, rng):
+        """Draws from ``rng``, the generator of stream ``(PAUSES, node, epoch)``: the k-th
+        pause drawn, over all calls, is element k of :meth:`pauses`. Negative draws
+        mean no pause."""
         j = self.assignment[node]
         mean, sd = self.group_means[j], math.sqrt(self.group_vars[j])
-        rng = seeding.substream(seed, seeding.PAUSES, node, epoch)
 
         def draw(count: int) -> np.ndarray:
             draws = mean + sd * rng.standard_normal(count)
@@ -301,7 +323,7 @@ class GroupedPauseTiming:
         All come from the one stream ``(PAUSES, node, epoch)``. Its normal
         draws are prefix-stable, so element k never depends on ``count``.
         """
-        return self._pause_stream(node, epoch, seed)(count)
+        return self._pause_stream(node, seeding.substream(seed, seeding.PAUSES, node, epoch))(count)
 
     def pause(self, node: int, epoch: int, grad_index: int, seed: int) -> float:
         """Pause after gradient ``grad_index``: element ``grad_index`` of :meth:`pauses`."""
@@ -344,7 +366,8 @@ class GroupedPauseTiming:
         Pauses that would overrun the window are truncated at the deadline. A
         follow-up window in the same epoch continues the stream at ``next_index``.
         """
-        return self._walk(window, [], start_index, self._pause_stream(node, epoch, seed))
+        rng = seeding.substream(seed, seeding.PAUSES, node, epoch)
+        return self._walk(window, [], start_index, self._pause_stream(node, rng))
 
     def fixed_count_time(self, node: int, epoch: int, seed: int, count: int,
                          start_index: int = 0):
@@ -354,15 +377,15 @@ class GroupedPauseTiming:
         end = start_index + count - 1
         return self._busy(count, self.pauses(node, epoch, seed, end)[start_index:].tolist()), end
 
-    def window_epoch(self, node: int, epoch: int, seed: int, window: float, comm_time: float):
+    def window_epoch(self, node: int, epoch: int, rng, window: float, comm_time: float):
         """``(b_i, a_i, T_i)``: the communication window continues the compute window's pauses."""
-        draw, block = self._pause_stream(node, epoch, seed), []
+        draw, block = self._pause_stream(node, rng), []
         count, busy, nxt = self._walk(window, block, 0, draw)
         return count, self._walk(comm_time, block, nxt, draw)[0], busy
 
-    def batch_epoch(self, node: int, epoch: int, seed: int, count: int, comm_time: float):
+    def batch_epoch(self, node: int, epoch: int, rng, count: int, comm_time: float):
         """``(duration, a_i, T_i)``; T_i is the duration."""
-        draw = self._pause_stream(node, epoch, seed)
+        draw = self._pause_stream(node, rng)
         block = draw(max(count - 1, 0)).tolist()
         busy = self._busy(count, block)
         return busy, self._walk(comm_time, block, len(block), draw)[0], busy

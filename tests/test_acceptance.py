@@ -13,7 +13,7 @@ from decimal import ROUND_CEILING, Decimal, getcontext
 import numpy as np
 import pytest
 
-from ambsim import cli, dualavg, engine, metrics, objectives, timing, topology
+from ambsim import cli, dualavg, engine, metrics, objectives, seeding, timing, topology
 
 
 def harmonic(n):
@@ -184,9 +184,21 @@ class TestCriterion6OrderLogGrowth:
         mean = model.mean_batch_time()
         results = []
         for n, trials in ((10, 30_000), (100, 3000), (1000, 800)):
+            # Batch times come as a run draws them: from seeds derived per
+            # block of epochs, through the fixed-batch protocol call.
             acc = 0.0
-            for t in range(1, trials + 1):
-                acc += max(model.batch_time(i, t, seed=1234) for i in range(n))
+            block = engine.BLOCK_ADDRESSES // n
+            for first in range(1, trials + 1, block):
+                last = min(first + block - 1, trials)
+                table = seeding.StreamTable(1234, model.stream, n, first, last)
+
+                def batch_time(i, t):
+                    return model.batch_epoch(i, t, table.generator(i, t), 1, 0.0)[2]
+
+                for i, t in ((0, first), (n // 2, (first + last) // 2), (n - 1, last)):
+                    assert batch_time(i, t) == model.batch_time(i, t, seed=1234)
+                for t in range(first, last + 1):
+                    acc += max(batch_time(i, t) for i in range(n))
             measured = (acc / trials) / mean
             predicted = timing.shifted_exp_asymptotic_ratio(n, rate, shift)
             rel = abs(measured - predicted) / predicted

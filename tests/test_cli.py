@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ambsim import cli
+from ambsim import cli, timing
 
 TIMING_TRACE = Path(__file__).parent / "golden" / "timing_trace.csv"
 
@@ -365,6 +365,58 @@ class TestSubcommands:
         assert key in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, sections", [
+        ("output.seeds", {"output": {"seeds": [1.5, 1.7]}}),
+        ("output.seeds", {"output": {"seeds": [-1, 2]}}),
+        ("output.seeds", {"output": {"seeds": [True, 2]}}),
+        ("run.seed", {"run": {"seed": -1}}),
+        ("run.seed", {"run": {"seed": True}}),
+        ("objective.seed", {"objective": {"seed": -1}}),
+        ("run.holdout", {"run": {"holdout": -10}}),
+        ("run.batch", {"run": {"batch": 0}}),
+        ("run.batch", {"run": {"batch": -5}}),
+        ("run.tau", {"run": {"tau": -1}}),
+    ])
+    def test_seeds_and_counts_name_the_key(self, tmp_path, capsys, key, sections):
+        path = paused_config(tmp_path, tmp_path / "out", **sections)
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "1.5", "abc", ""])
+    def test_amb_seed_must_be_a_non_negative_integer(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("AMB_SEED", value)
+        path = paused_config(tmp_path, tmp_path / "out")
+        assert cli.main(["run", str(path)]) == 1
+        assert "AMB_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, base, run", [
+        ("run.compute_time", 1e-300, {"compute_time": 1e300, "communication_time": 0.0}),
+        ("run.communication_time", 1e-300, {"communication_time": 1e300}),
+        ("run.compute_time", 1e-6, {"compute_time": 2.0, "communication_time": 0.5}),
+        ("run.communication_time", 1e-6, {"compute_time": 0.5, "communication_time": 1.5}),
+    ])
+    def test_windows_beyond_the_walk_cap_name_the_key(self, tmp_path, capsys, key, base, run):
+        # Rejected while the first runs are built, so no pause walk ever starts.
+        path = paused_config(tmp_path, tmp_path / "out", run=run,
+                             timing={"base_gradient_time": base})
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "base_gradient_time" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_windows_within_the_walk_cap_build(self, tmp_path):
+        cap = timing.GroupedPauseTiming.MAX_WINDOW_GRADIENTS
+        run = {"compute_time": 0.9 * cap * 1e-6, "communication_time": 0.5 * cap * 1e-6}
+        path = paused_config(tmp_path, tmp_path / "out", run=run,
+                             timing={"base_gradient_time": 1e-6})
+        config = cli.build_run_config(cli.parse_config(path), seed=1)
+        assert config.compute_time == pytest.approx(0.9)
 
     def test_compare_rejected_by_its_fixed_batch_run_writes_nothing(self, tmp_path, capsys):
         # The fixed-window run of the pair is valid; only the fixed-batch run needs batch >= 1.

@@ -63,7 +63,7 @@ class TestComputePhase:
             timing=timing.DeterministicTiming(period=1.0, reference_batch=1),
             compute_time=3.0,
         )
-        b, a, _ = engine._compute_phase(cfg, 1)
+        b, a, _ = engine._compute_phase(cfg, 1, engine._Streams(cfg, 1, 1))
         assert list(b) == [3, 3]
         assert int(b.sum()) == 6
         assert list(a) == [1, 1]
@@ -74,7 +74,7 @@ class TestComputePhase:
             timing=timing.DeterministicTiming(period=2.5, reference_batch=60),
             compute_time=2.5,
         )
-        b, _, _ = engine._compute_phase(cfg, 1)
+        b, _, _ = engine._compute_phase(cfg, 1, engine._Streams(cfg, 1, 1))
         assert all(b == 60)
 
     def test_fmb_remainder_rule(self):
@@ -164,12 +164,16 @@ class TestConsensus:
     def test_node_round_count_does_not_depend_on_graph_size(self):
         small = small_config(graph=topology.ring_graph(5), rounds=("uniform", 3, 8))
         large = small_config(graph=topology.ring_graph(150), rounds=("uniform", 3, 8))
+
+        def resolve(cfg, t):
+            return engine._resolve_rounds(cfg, t, engine._Streams(cfg, 1, 9))
+
         for t in (1, 2, 9):
-            few, many = engine._resolve_rounds(small, t), engine._resolve_rounds(large, t)
+            few, many = resolve(small, t), resolve(large, t)
             assert few.shape == (5,) and many.shape == (150,)
             assert np.array_equal(few, many[:5])
             assert few.min() >= 3 and many.min() >= 3 and many.max() <= 8
-        assert not np.array_equal(engine._resolve_rounds(large, 1), engine._resolve_rounds(large, 2))
+        assert not np.array_equal(resolve(large, 1), resolve(large, 2))
 
     def test_degenerate_batch_share_keeps_dual(self):
         # Path graph: node 0 is two hops from the only node with work, so a

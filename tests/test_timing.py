@@ -184,6 +184,11 @@ class TestGroupedPause:
         assert long.tobytes() != model.pauses(4, 7, seed=13, count=500).tobytes()
 
 
+def pause_rng(seed, node, epoch):
+    """The generator the timing protocol takes: stream (PAUSES, node, epoch) at ``seed``."""
+    return seeding.substream(seed, seeding.PAUSES, node, epoch)
+
+
 def reference_window(model, node, epoch, seed, window, start_index=0):
     """compute_window as one scalar pause() per gradient."""
     g = model.base_gradient_time
@@ -272,27 +277,41 @@ class TestPauseBlocks:
             for window, comm in ((0.0, 7.5), (14.5, 0.0), (60.0, 14.5), (202.7, 60.0)):
                 count, busy, nxt = reference_window(model, node, 2, 5, window)
                 extra = reference_window(model, node, 2, 5, comm, nxt)[0]
-                assert model.window_epoch(node, 2, 5, window, comm) == (count, extra, busy)
+                got = model.window_epoch(node, 2, pause_rng(5, node, 2), window, comm)
+                assert got == (count, extra, busy)
             for count, comm in ((0, 14.5), (1, 60.0), (10, 0.0), (37, 60.0)):
                 busy, nxt = reference_fixed_count(model, node, 4, 6, count)
                 extra = reference_window(model, node, 4, 6, comm, nxt)[0]
-                assert model.batch_epoch(node, 4, 6, count, comm) == (busy, extra, busy)
+                got = model.batch_epoch(node, 4, pause_rng(6, node, 4), count, comm)
+                assert got == (busy, extra, busy)
 
     @pytest.mark.parametrize("first_block", [timing.GroupedPauseTiming.FIRST_BLOCK, 2])
     def test_one_stream_per_node_and_epoch(self, monkeypatch, first_block):
-        # A block of 2 makes both windows regrow it; the stream still starts once.
+        # A block of 2 makes both windows regrow it; every pause still comes
+        # from the one generator the caller passes, and none is addressed anew.
         monkeypatch.setattr(timing.GroupedPauseTiming, "FIRST_BLOCK", first_block)
         model = self.MODELS[0]
+        pairs = [(node, epoch) for node in range(len(model.assignment)) for epoch in (1, 2)]
+        rngs = {(node, epoch, k): pause_rng(3, node, epoch)
+                for node, epoch in pairs for k in (0, 1)}
+        want = {}
+        for node, epoch in pairs:
+            count, busy, nxt = reference_window(model, node, epoch, 3, 202.7)
+            want[node, epoch, 0] = (count, reference_window(model, node, epoch, 3, 60.0, nxt)[0],
+                                    busy)
+            busy, nxt = reference_fixed_count(model, node, epoch, 3, 37)
+            want[node, epoch, 1] = (busy, reference_window(model, node, epoch, 3, 60.0, nxt)[0],
+                                    busy)
         calls = []
         substream = seeding.substream
         monkeypatch.setattr(seeding, "substream",
                             lambda *args: calls.append(args) or substream(*args))
-        for node in range(len(model.assignment)):
-            for epoch in (1, 2):
-                model.window_epoch(node, epoch, 3, 202.7, 60.0)
-                model.batch_epoch(node, epoch, 3, 37, 60.0)
-        pairs = [(node, epoch) for node in range(len(model.assignment)) for epoch in (1, 2)]
-        assert calls == [(3, seeding.PAUSES, node, epoch) for node, epoch in pairs for _ in (0, 1)]
+        for node, epoch in pairs:
+            got = model.window_epoch(node, epoch, rngs[node, epoch, 0], 202.7, 60.0)
+            assert got == want[node, epoch, 0]
+            got = model.batch_epoch(node, epoch, rngs[node, epoch, 1], 37, 60.0)
+            assert got == want[node, epoch, 1]
+        assert calls == []
 
     def test_rejects_non_finite_inputs(self):
         with pytest.raises(ValueError, match="group means"):
@@ -310,9 +329,9 @@ class TestPauseBlocks:
             with pytest.raises(ValueError, match="window"):
                 model.compute_window(0, 1, seed=1, window=window)
             with pytest.raises(ValueError, match="window"):
-                model.window_epoch(0, 1, 1, 5.0, window)
+                model.window_epoch(0, 1, pause_rng(1, 0, 1), 5.0, window)
             with pytest.raises(ValueError, match="window"):
-                model.batch_epoch(0, 1, 1, 3, window)
+                model.batch_epoch(0, 1, pause_rng(1, 0, 1), 3, window)
 
 
 class TestSpeedupFormulas:
