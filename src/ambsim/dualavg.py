@@ -58,18 +58,17 @@ def primal_update(z: np.ndarray, beta_value: float, radius: float) -> np.ndarray
     """Minimize ``<w, z> + beta_value * ||w||^2 / 2`` over the ball ``||w|| <= radius``.
 
     Closed form: ``-z / beta_value`` when that point lies inside the
-    ball, otherwise its radial projection ``-radius * z / ||z||``.
+    ball, otherwise its radial projection ``-radius * z / ||z||``. Each row
+    of a 2-D ``z`` is mapped on its own, with norms over the last axis.
     """
     if beta_value <= 0:
         raise ValueError(f"beta must be positive, got {beta_value}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    z = np.asarray(z, dtype=float)
-    w = -z / beta_value
-    norm = float(np.linalg.norm(w))
-    if norm > radius:
-        w *= radius / norm
-    return w
+    w = -np.asarray(z, dtype=float) / beta_value
+    norm = np.linalg.norm(w, axis=-1, keepdims=True)
+    # Rows inside the ball are scaled by radius / radius == 1.0 exactly.
+    return w * (radius / np.maximum(norm, radius))
 
 
 def apply_consensus_result(state: DualState, averaged: np.ndarray) -> DualState:

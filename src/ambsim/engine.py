@@ -4,9 +4,10 @@ One epoch has three phases. In the compute phase each node works for a
 fixed window (anytime mode, "amb") or until a fixed per-node batch is
 done (fixed-batch mode, "fmb"), producing its local average gradient. In
 the consensus phase nodes exchange batch-weighted dual messages through
-repeated multiplication by the mixing matrix; a parallel scalar consensus
-estimates the global batch size used for normalization. In the update
-phase every node maps its new dual variable to the primal ball.
+repeated multiplication by the mixing matrix; each message carries the
+node's weight n * b_i as its last entry, whose consensus estimates the
+global batch size used for normalization. In the update phase every node
+maps its new dual variable to the primal ball, all rows at once.
 
 The two modes differ only in the compute phase, which the timing model's
 ``window_epoch`` or ``batch_epoch`` answers for each node, and in when the
@@ -83,7 +84,6 @@ class RunConfig:
     matrix: ConsensusMatrix | None = None
     exact_batch_norm: bool = False
     holdout: int = 0
-    extended_losses: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -159,12 +159,7 @@ class EpochRecord:
     degenerate_nodes: int
     loss_sum_processed: np.ndarray
     loss_sum_potential: np.ndarray
-    losses_cover_potential: bool
     primal_after: np.ndarray
-
-    @property
-    def potential_sizes(self) -> np.ndarray:
-        return self.batch_sizes + self.extra_capacity
 
 
 def matched_compute_time(batch: int, n: int, mean_batch_time: float) -> float:
@@ -184,31 +179,27 @@ def matched_compute_time(batch: int, n: int, mean_batch_time: float) -> float:
 
 
 def average_consensus(matrix, values: np.ndarray, rounds: int) -> np.ndarray:
-    """Apply ``rounds`` synchronous averaging steps to per-node rows.
+    """Apply ``rounds`` synchronous averaging steps to per-node values.
 
-    ``matrix`` is a :class:`ConsensusMatrix` or a dense mixing matrix. Each
-    step equals the dense elementwise product bit for bit, so the result
-    never depends on BLAS threading, and the column means of ``values`` are
-    exact invariants of every step (within float error). Rows of d != 1
-    entries gather each row's nonzero columns and add their products in
-    ascending column order, in O(|E| d): that is the order in which
-    ``(p[:, :, None] * values[None]).sum(axis=1)`` adds the middle axis, so
-    skipping its zero terms moves no bit. Scalars and single-entry rows keep
-    the O(n^2) dense row reduction, because numpy sums a contiguous last
-    axis pairwise and a sequential sum would round differently.
+    ``matrix`` is a :class:`ConsensusMatrix` or a dense mixing matrix, and
+    ``values`` holds one entry or one row per node. Each step gathers each
+    row's nonzero columns and adds their products in ascending column order,
+    in O(|E| d). Every column is averaged on its own, so a column carried
+    beside others, or alone, or as 1-D values, comes out bit for bit the
+    same, and the result never depends on BLAS threading. For rows of d > 1
+    entries each step also equals ``(p[:, :, None] * values[None]).sum(axis=1)``
+    bit for bit. The column means of ``values`` are exact invariants of every
+    step (within float error).
     """
     if isinstance(matrix, ConsensusMatrix):
-        p, columns, weights = matrix.matrix, matrix.columns, matrix.weights
+        columns, weights = matrix.columns, matrix.weights
     else:
-        p = np.asarray(matrix, dtype=float)
-        columns, weights = row_supports(p)
-    out = np.asarray(values, dtype=float)
+        columns, weights = row_supports(np.asarray(matrix, dtype=float))
+    values = np.asarray(values, dtype=float)
+    out = values.reshape(len(values), -1)
     for _ in range(rounds):
-        if out.ndim == 2 and out.shape[1] != 1:
-            out = (weights[:, :, None] * out[columns]).sum(axis=0)
-        else:
-            out = (p * out.reshape(1, -1)).sum(axis=1).reshape(out.shape)
-    return out
+        out = (weights[:, :, None] * out[columns]).sum(axis=0)
+    return out.reshape(values.shape)
 
 
 class _Streams:
@@ -251,28 +242,17 @@ def _resolve_rounds(config: RunConfig, t: int, streams: _Streams) -> np.ndarray:
     return streams.rounds(t).integers(low, high + 1, size=n)
 
 
-def _consensus_phase(config: RunConfig, messages: np.ndarray, scalars: np.ndarray,
-                     rounds_per_node: np.ndarray):
-    """Run the consensus rounds; each node reads its row after its own count.
-
-    Returns per-node message rows and scalar estimates.
-    """
-    n = messages.shape[0]
+def _consensus_phase(config: RunConfig, messages: np.ndarray, rounds_per_node: np.ndarray):
+    """Run the consensus rounds; each node reads its row after its own count."""
     if config.rounds == "exact":
-        avg_msg = messages.mean(axis=0)
-        avg_scalar = scalars.mean()
-        return np.tile(avg_msg, (n, 1)), np.full(n, avg_scalar)
-    out_msg = np.empty_like(messages)
-    out_scalar = np.empty(n)
-    max_rounds = int(rounds_per_node.max())
-    m, s = messages, scalars
-    for k in range(1, max_rounds + 1):
+        return np.tile(messages.mean(axis=0), (len(messages), 1))
+    out = np.empty_like(messages)
+    m = messages
+    for k in range(1, int(rounds_per_node.max()) + 1):
         m = average_consensus(config.matrix, m, 1)
-        s = average_consensus(config.matrix, s, 1)
         done = rounds_per_node == k
-        out_msg[done] = m[done]
-        out_scalar[done] = s[done]
-    return out_msg, out_scalar
+        out[done] = m[done]
+    return out
 
 
 def init_state(config: RunConfig) -> EngineState:
@@ -312,7 +292,7 @@ def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
     loss_b = np.zeros(n)
     loss_c = np.zeros(n)
     for i in range(n):
-        want = batch_sizes[i] + (extra[i] if config.extended_losses else 0)
+        want = batch_sizes[i] + extra[i]
         if want == 0:
             continue
         x, y = model.draw(i, t, int(want), streams.lanes(i, t))
@@ -340,20 +320,18 @@ def _dual_update(config: RunConfig, state: EngineState, t: int,
     if global_batch == 0:
         # No gradients anywhere: carry the duals through an unweighted
         # consensus and skip normalization entirely.
-        z_next, _ = _consensus_phase(config, duals, np.ones(n), rounds_per_node)
+        z_next = _consensus_phase(config, duals, rounds_per_node)
         exact = duals.mean(axis=0)
     else:
-        working = batch_sizes > 0
         summands = duals + grads
-        messages = np.where(working[:, None], (n * batch_sizes)[:, None] * summands, 0.0)
-        out_msg, out_scalar = _consensus_phase(config, messages, n * batch_sizes.astype(float),
-                                               rounds_per_node)
-        # Error-free dual: batch-weighted average of dual-plus-gradient,
-        # summed row by row in node order.
-        exact = np.zeros(duals.shape[1])
-        for i in np.flatnonzero(working):
-            exact = exact + batch_sizes[i] * summands[i]
-        exact = exact / global_batch
+        # The last column is each node's weight n * b_i: its consensus
+        # estimates the global batch.
+        weighted = (n * batch_sizes)[:, None] * np.hstack([summands, np.ones((n, 1))])
+        out = _consensus_phase(config, np.where((batch_sizes > 0)[:, None], weighted, 0.0),
+                               rounds_per_node)
+        out_msg, out_scalar = out[:, :-1], out[:, -1]
+        # Error-free dual: batch-weighted average of dual-plus-gradient.
+        exact = (batch_sizes[:, None] * summands).sum(axis=0) / global_batch
         if config.exact_batch_norm:
             z_next = out_msg / global_batch
         else:
@@ -362,9 +340,8 @@ def _dual_update(config: RunConfig, state: EngineState, t: int,
             degenerate = int(unheard.sum())
             z_next = np.where(unheard[:, None], duals,
                               out_msg / np.where(unheard, 1.0, out_scalar)[:, None])
-    beta_next = dualavg.beta(config.schedule, t + 1)
-    primal = np.stack([dualavg.primal_update(z, beta_next, config.radius) for z in z_next])
-    worst = max([0.0] + [float(np.linalg.norm(z_next[i] - exact)) for i in range(n)])
+    primal = dualavg.primal_update(z_next, dualavg.beta(config.schedule, t + 1), config.radius)
+    worst = float(np.linalg.norm(z_next - exact, axis=1).max())
     return primal, z_next, worst, rounds_per_node, degenerate, global_batch == 0
 
 
@@ -389,7 +366,6 @@ def _epoch(state: EngineState, config: RunConfig, t: int, streams: _Streams, b: 
         degenerate_nodes=degenerate,
         loss_sum_processed=loss_b,
         loss_sum_potential=loss_c,
-        losses_cover_potential=config.extended_losses,
         primal_after=primal,
     )
     return EngineState(primal=primal, dual=dual, wall=wall_end), record

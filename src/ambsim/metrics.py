@@ -45,7 +45,6 @@ class RegretSeries:
     potential: np.ndarray
     samples_processed: np.ndarray
     samples_potential: np.ndarray
-    from_batch_means: bool = False
 
 
 @dataclass(frozen=True)
@@ -96,13 +95,10 @@ def empirical_regret(records, optimum_value: float) -> RegretSeries:
     The regret after ``t`` epochs is the sum of recorded per-sample
     losses up to ``t`` minus the number of samples times the optimum
     objective value, in both the processed and the potential-work
-    accounting. When a run did not evaluate losses on the extra-capacity
-    samples, the potential series falls back to extrapolating each node's
-    per-sample batch mean over its potential count, and the result is
-    flagged ``from_batch_means``.
+    accounting. Every run evaluates the losses of its extra-capacity
+    samples, so the potential series sums recorded losses too.
     """
     tau = len(records)
-    exact = all(getattr(r, "losses_cover_potential", True) for r in records)
     processed = np.zeros(tau)
     potential = np.zeros(tau)
     count_b = np.zeros(tau, dtype=np.int64)
@@ -111,13 +107,7 @@ def empirical_regret(records, optimum_value: float) -> RegretSeries:
     nb = nc = 0
     for k, record in enumerate(records):
         acc_b += float(np.sum(record.loss_sum_processed))
-        if exact:
-            acc_c += float(np.sum(record.loss_sum_potential))
-        else:
-            sizes = record.batch_sizes
-            means = np.divide(record.loss_sum_processed, sizes,
-                              out=np.zeros(len(sizes)), where=sizes > 0)
-            acc_c += float(np.sum(means * record.potential_sizes))
+        acc_c += float(np.sum(record.loss_sum_potential))
         nb += int(record.global_batch)
         nc += int(record.global_potential)
         processed[k] = acc_b - nb * optimum_value
@@ -125,8 +115,7 @@ def empirical_regret(records, optimum_value: float) -> RegretSeries:
         count_b[k] = nb
         count_c[k] = nc
     return RegretSeries(processed=processed, potential=potential,
-                        samples_processed=count_b, samples_potential=count_c,
-                        from_batch_means=not exact)
+                        samples_processed=count_b, samples_potential=count_c)
 
 
 def _holdout_loss(objective, holdout):

@@ -274,8 +274,8 @@ class GroupedPauseTiming:
     # Pauses cut most windows far below window // g gradients, so the first
     # block of a long window is capped rather than sized for no pauses.
     FIRST_BLOCK = 4096
-    # A window walks one pause per gradient in Python, so configs whose
-    # windows fit more than this many gradients are rejected up front.
+    # A window walks one pause per gradient in Python, so a window that fits
+    # more than this many gradients is rejected before any pause is drawn.
     MAX_WINDOW_GRADIENTS = 1_000_000
 
     def __post_init__(self):
@@ -334,11 +334,15 @@ class GroupedPauseTiming:
 
         ``block``, the pauses drawn so far, grows in place from ``draw``: to
         cover ``window // g`` gradients (at most ``FIRST_BLOCK``), then to twice
-        its length plus two when more fit (float rounding, few pauses).
+        its length plus two when more fit (float rounding, few pauses). A window
+        of more than ``MAX_WINDOW_GRADIENTS`` gradients raises before any draw.
         """
         if not 0.0 <= window < math.inf:
             raise ValueError(f"window must be finite and non-negative, got {window}")
         g = self.base_gradient_time
+        if window / g > self.MAX_WINDOW_GRADIENTS:
+            raise ValueError(f"window {window:g} fits {window / g:.3g} gradients of {g:g}; "
+                             f"at most {self.MAX_WINDOW_GRADIENTS} are allowed")
         first = index + int(min(window // g, self.FIRST_BLOCK))
         block += draw(max(first - len(block), 0)).tolist()
         elapsed = 0.0

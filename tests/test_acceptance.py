@@ -129,7 +129,7 @@ class TestCriterion4ExpectedBatch:
             timing=timing.ShiftedExponential(rate=2 / 3, shift=1.0, reference_batch=60),
             schedule=dualavg.Schedule(offset=4.0, work_scale=600.0),
             comm_time=0.0, tau=10_000, radius=3.0, seed=101,
-            compute_time=window, rounds=1, extended_losses=False)
+            compute_time=window, rounds=1)
         trace = engine.run(cfg)
         batches = trace.global_batches.astype(float)
         threshold = 600.0 - 3.0 * batches.std() / 100.0
@@ -152,8 +152,7 @@ class TestCriterion5SpeedupBound:
                 graph=topology.testbed_graph(), objective=model,
                 timing=timing.ShiftedExponential(rate=2 / 3, shift=1.0, reference_batch=60),
                 schedule=dualavg.Schedule(offset=4.0, work_scale=600.0),
-                comm_time=0.0, tau=1000, radius=3.0, seed=seed, rounds=1,
-                extended_losses=False)
+                comm_time=0.0, tau=1000, radius=3.0, seed=seed, rounds=1)
             trace_a = engine.run(engine.RunConfig(mode="amb", compute_time=window, **shared))
             trace_f = engine.run(engine.RunConfig(mode="fmb", batch=600, **shared))
             report = metrics.speedup_measurement(trace_a, trace_f)

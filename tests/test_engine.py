@@ -126,21 +126,25 @@ class TestConsensus:
             from_dense = engine.average_consensus(cm.matrix, values, 8)
             assert np.array_equal(from_dense.view(np.uint64), dense.view(np.uint64))
 
-    def test_scalar_and_single_entry_rows_keep_row_reduction(self):
+    def test_each_column_is_averaged_on_its_own_bit_for_bit(self):
+        # The engine carries the batch-size scalar as the messages' last
+        # column; it must come out as if it had been carried alone.
         rng = np.random.default_rng(4)
         for g in (topology.testbed_graph(), topology.ring_graph(150),
                   random_connected_graph(rng, 23)):
             cm = topology.build_consensus_matrix(g)
             scalars = rng.uniform(0, 500, size=g.n)
             scalars[rng.random(g.n) < 0.3] = 0.0
-            ref, rows = scalars, scalars[:, None]
-            for _ in range(8):
-                ref = (cm.matrix * ref[None, :]).sum(axis=1)
-                rows = (cm.matrix[:, :, None] * rows[None, :, :]).sum(axis=1)
-            assert np.array_equal(rows[:, 0].view(np.uint64), ref.view(np.uint64))
-            for out in (engine.average_consensus(cm.matrix, scalars, 8),
-                        engine.average_consensus(cm, scalars[:, None], 8)[:, 0]):
-                assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+            messages = np.column_stack([rng.standard_normal((g.n, 9)) * 40, scalars])
+            alone = engine.average_consensus(cm, scalars[:, None], 8)
+            beside = engine.average_consensus(cm, messages, 8)
+            flat = engine.average_consensus(cm.matrix, scalars, 8)
+            assert alone.shape == (g.n, 1) and flat.shape == (g.n,)
+            assert np.array_equal(beside[:, -1].view(np.uint64), alone[:, 0].view(np.uint64))
+            assert np.array_equal(flat.view(np.uint64), alone[:, 0].view(np.uint64))
+            for j in range(9):
+                column = engine.average_consensus(cm, messages[:, j], 8)
+                assert np.array_equal(beside[:, j].view(np.uint64), column.view(np.uint64))
 
     def test_exact_mode_matches_error_free_dual(self):
         cfg = small_config(rounds="exact", tau=4)

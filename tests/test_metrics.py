@@ -27,7 +27,6 @@ def record(epoch, loss_b, loss_c, b, a, wall_end=None, primal=None, n=2, dim=3):
         degenerate_nodes=0,
         loss_sum_processed=loss_b,
         loss_sum_potential=loss_c,
-        losses_cover_potential=True,
         primal_after=np.zeros((n, dim)) if primal is None else primal,
     )
 
@@ -70,18 +69,6 @@ class TestEmpiricalRegret:
         series = metrics.empirical_regret(records, 0.0)
         assert list(series.samples_processed) == [2, 4, 6]
         assert list(series.samples_potential) == [4, 8, 12]
-        assert series.from_batch_means is False
-
-    def test_batch_mean_fallback_is_flagged(self):
-        # Without recorded extra-capacity losses, the potential series must
-        # extrapolate per-sample means instead of mixing mismatched sums.
-        recs = [record(1, [6.0, 0.0], [6.0, 0.0], [3, 0], [2, 1])]
-        recs[0].losses_cover_potential = False
-        series = metrics.empirical_regret(recs, optimum_value=1.0)
-        # node 0: mean loss 2.0 over 5 potential samples; node 1: no data.
-        assert series.potential[-1] == pytest.approx(2.0 * 5 - 6 * 1.0)
-        assert series.from_batch_means is True
-        assert series.processed[-1] == pytest.approx(6.0 - 3.0)
 
 
 class TestErrorSeries:

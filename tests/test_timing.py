@@ -313,6 +313,19 @@ class TestPauseBlocks:
             assert got == want[node, epoch, 1]
         assert calls == []
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_windows_beyond_the_walk_cap_raise_before_drawing(self, model):
+        g = model.base_gradient_time
+        beyond = (model.MAX_WINDOW_GRADIENTS + 1) * g
+        for window, comm in ((1e12, 0.0), (beyond, 0.0), (0.0, beyond)):
+            rng = pause_rng(1, 0, 1)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="at most"):
+                model.window_epoch(0, 1, rng, window, comm)
+            assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match="at most"):
+            model.compute_window(0, 1, seed=1, window=beyond)
+
     def test_rejects_non_finite_inputs(self):
         with pytest.raises(ValueError, match="group means"):
             timing.GroupedPauseTiming((math.nan,), (1.0,), (0,), 1.0)
