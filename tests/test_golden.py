@@ -110,19 +110,19 @@ GOLDEN = {
         "summary.csv": "8bd3e6b2654080aa643f3d217c5a98c91ae93dc3c78f724809b9ef95b4a87e99",
     },
     "paused_compare": {
-        "amb_seed1.csv": "68a602d58172b81ad47d4ac54b7fa944c7b4fd8fd08d91adc48902d40611fe4a",
+        "amb_seed1.csv": "eded767834c9db0b78722223d1ee41f3b769e8adb5bee092244de69e0bee84e1",
         "amb_seed1_nodes.csv": "da1b5c83bef52b3a5bf9709d26026562d2ef8250238105d7112b7c75676ed941",
-        "amb_seed2.csv": "bdff66318a42162fb4c40c1b50c176eff0ecbe23d0a142ae7561bd815d19fedd",
+        "amb_seed2.csv": "a021dd3217ec882ff779184563b23f2a12a68fff692fb6b87d17d1489d622efb",
         "amb_seed2_nodes.csv": "dffc87834ddb10663cb92cf5d15be45908ecc140f1c8a4b7e08180a3772e94c2",
         "compare.csv": "202a77b7d68d0425595b6a3ee463647cc2d5e7b0119f84fab7b3e0fcdb4bcce3",
-        "fmb_seed1.csv": "dc6602b344711d8e56997b0e621b8db75562f21b32a634128dce653e30ba2055",
+        "fmb_seed1.csv": "b2ff3d34bb0f71145de72f273f6a484c440055d5b0a88b6d168db1c6fb54e419",
         "fmb_seed1_nodes.csv": "c20f472f19db126d5639ae64cdd03deae256fddc68049ae57b435127065acc4b",
-        "fmb_seed2.csv": "b6f62802e257d59a9e7c939e9a656c0d83408262949b60bf6d8b7310b775a3e3",
+        "fmb_seed2.csv": "1c89805331276de1d33b56345f4d1ebe72b2db6c135f94805c6245b393033452",
         "fmb_seed2_nodes.csv": "e9dd09851a4b1e3ca1cecfaf47878c9f3985bad479f85e2b99c25680ace4bc11",
         "summary.csv": "c23164a37dfe6f3f170b065ea6ee87edb9d39e8f24f90d524f7535376bb8aa45",
     },
     "ring30_uniform": {
-        "amb_seed9.csv": "78a7b077ec50ed87087cb0d1c46035c55fccd28d4f066670272a1686d83e71f5",
+        "amb_seed9.csv": "90d7159feb70324d62fdf9ce454f7dfb43298ddd4c9f81262d5e06a21c521db5",
         "amb_seed9_nodes.csv": "798914403d65532dffd0d94b80547c15293e51e6eaa7b2a51c474212de3100d8",
         "summary.csv": "ea155dc667afe26f92f87fda5d0958e2f2e2ba1256046312dfdb5011f9916b6c",
     },
@@ -132,9 +132,9 @@ GOLDEN = {
         "summary.csv": "19aa173772119563d4710c63017ac59479c2556d53a62bed673ec66ab23dcfa7",
     },
     "testbed_amb": {
-        "amb_seed21.csv": "51298eed25cb8ebdf47011c5ba8ba65536e06b57543324ded4d63b8729f01f55",
+        "amb_seed21.csv": "94d73b9813ed79c281d25a3e98316e717f36577ac9f7f24fad903641e3783755",
         "amb_seed21_nodes.csv": "9517c9453de4f1e7ce9fe59ba4acab874b3e2eadc34da22cafa9bed9efc30b8c",
-        "summary.csv": "73de977fd488eb0ca348f57ac8c029f50de0dae75931093b87d38f08454d53d8",
+        "summary.csv": "97fc9e483eef8dca0e9ff6d09be774a4fc2d8662d25654355ec03bfa960601b2",
     },
     "trace_fmb": {
         "fmb_seed15.csv": "70f25c874536625c68b9db38703faf4aca28c7931765d58a499129c7bceae62a",
