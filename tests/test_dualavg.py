@@ -88,6 +88,23 @@ class TestPrimalUpdate:
             cand *= rng.uniform(0, radius) / np.linalg.norm(cand)
             assert best <= objective(cand) + 1e-12
 
+    def test_rows_match_per_row_calls_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        beta_value, radius = 2.5, 1.5
+        z = rng.standard_normal((12, 7)) * rng.uniform(0.1, 8.0, size=(12, 1))
+        z[3] = 0.0
+        z[7] = 0.0
+        z[9] = [-beta_value * radius] + [0.0] * 6  # lands exactly on the sphere
+        rows = dualavg.primal_update(z, beta_value, radius)
+        norms = np.linalg.norm(-z / beta_value, axis=1)
+        assert (norms < radius).any() and (norms > radius).any() and norms[9] == radius
+        assert rows.shape == z.shape
+        for i in range(len(z)):
+            row = dualavg.primal_update(z[i], beta_value, radius)
+            assert np.array_equal(rows[i].view(np.uint64), row.view(np.uint64))
+        assert not rows[3].any() and not rows[7].any()
+        assert np.array_equal(rows[9], [radius] + [0.0] * 6)
+
 
 class TestDualState:
     def test_initial_state(self):
@@ -118,20 +135,3 @@ class TestDualState:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             dualavg.apply_consensus_result(dualavg.initial_dual_state(2), np.zeros(3))
-
-    def test_rows_match_per_row_calls_bit_for_bit(self):
-        rng = np.random.default_rng(6)
-        beta_value, radius = 2.5, 1.5
-        z = rng.standard_normal((12, 7)) * rng.uniform(0.1, 8.0, size=(12, 1))
-        z[3] = 0.0
-        z[7] = 0.0
-        z[9] = [-beta_value * radius] + [0.0] * 6  # lands exactly on the sphere
-        rows = dualavg.primal_update(z, beta_value, radius)
-        norms = np.linalg.norm(-z / beta_value, axis=1)
-        assert (norms < radius).any() and (norms > radius).any() and norms[9] == radius
-        assert rows.shape == z.shape
-        for i in range(len(z)):
-            row = dualavg.primal_update(z[i], beta_value, radius)
-            assert np.array_equal(rows[i].view(np.uint64), row.view(np.uint64))
-        assert not rows[3].any() and not rows[7].any()
-        assert np.array_equal(rows[9], [radius] + [0.0] * 6)
