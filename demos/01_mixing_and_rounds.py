@@ -31,7 +31,7 @@ initial = np.linalg.norm(values - mean)
 current = values
 print(f"  round  0: disagreement {initial:9.4f}  bound {initial:9.4f}")
 for r in range(1, 11):
-    current = engine.average_consensus(lazy.matrix, current, 1)
+    current = engine.average_consensus(lazy, current, 1)
     err = np.linalg.norm(current - mean)
     print(f"  round {r:2d}: disagreement {err:9.4f}  bound {lazy.lambda2 ** r * initial:9.4f}")
 

@@ -17,7 +17,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,57 +44,153 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _check_keys(section: dict, allowed, path: str):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
-
-
-def _is_finite(value) -> bool:
+def _is_number(value) -> bool:
+    """Whether ``value`` is a finite JSON number within the float range (bools are not)."""
     try:
-        return math.isfinite(value)
+        return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
 
 
-def _get(section: dict, key: str, path: str, kind, default="__required__"):
-    if key not in section:
-        if default == "__required__":
-            raise ConfigError(f"missing required key '{path}.{key}'")
-        return default
-    value = section[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value) if _is_finite(value) else math.inf
-    if kind is not None and not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"key '{path}.{key}' must be {getattr(kind, '__name__', kind)}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"key '{path}.{key}' must be finite, got {value!r}")
-    return value
+_REQUIRED = object()
+_AUTO = "a finite number or 'auto'"
+_FLOAT_RANGE_INT = "an integer within the float range"
+
+# Each scalar type: whether a value has it, and how an error names it.
+# Integers may exceed the float range (seeds do); floats must be finite.
+_TYPES = {
+    int: (lambda v: type(v) is int, "an integer"),
+    _FLOAT_RANGE_INT: (lambda v: type(v) is int and _is_number(v), _FLOAT_RANGE_INT),
+    float: (_is_number, "a finite number"),
+    _AUTO: (_is_number, _AUTO),
+    str: (lambda v: type(v) is str, "a string"),
+    bool: (lambda v: type(v) is bool, "a boolean"),
+}
 
 
-def _int_at_least(section: dict, key: str, path: str, minimum: int, default="__required__"):
-    value = _get(section, key, path, int, default)
-    if value is not None and value < minimum:
-        raise ConfigError(f"key '{path}.{key}' must be an integer >= {minimum}, got {value!r}")
-    return value
+class _Key(NamedTuple):
+    """One config key: its type, its default (or _REQUIRED) and its lower bound.
+
+    ``type`` is a key of ``_TYPES`` (``_AUTO`` is a float or "auto"; floats
+    are read as float), a one-item list ``[t]`` for a list of ``t`` (the
+    bound applies to each entry), a tuple of the allowed strings, a section
+    table, or None for a value that a cross-key rule in `parse_config`
+    checks. A key whose default is None also accepts null.
+    """
+
+    type: object
+    default: object = _REQUIRED
+    at_least: float | None = None
+    above: float | None = None
 
 
-def _number_or_auto(section, key, path, default):
-    value = section.get(key, default)
-    if value == "auto":
-        return "auto"
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _is_finite(value):
-        raise ConfigError(f"key '{path}.{key}' must be a finite number or 'auto', got {value!r}")
-    return float(value)
+class _Kinds(dict):
+    """A kinded section's tables: its ``kind`` key picks the table for the other keys."""
 
 
-def _number_list(section, key, path, minimum=-math.inf):
-    values = _get(section, key, path, list)
-    if not all(type(v) in (int, float) and _is_finite(v) and v >= minimum for v in values):
-        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
-        raise ConfigError(f"key '{path}.{key}' must be a list of finite numbers{bound}, "
-                          f"got {values!r}")
-    return values
+# Entries that several tables share.
+_SEED = _Key(int, at_least=0)
+_DIM = _Key(int, at_least=1)
+_NODES = _Key(int, at_least=1)
+_REFERENCE_BATCH = _Key(_FLOAT_RANGE_INT, at_least=1)
+
+_SCHEMA = {
+    "mode": _Key(engine.MODES),
+    "objective": _Key(_Kinds(
+        linear_regression={"dim": _DIM, "noise_var": _Key(float, 1e-3, at_least=0), "seed": _SEED},
+        logistic_regression={"classes": _Key(int, at_least=2), "dim": _DIM, "seed": _SEED,
+                             "csv_path": _Key(str, None), "cluster_spread": _Key(float, 2.0)},
+    )),
+    "topology": _Key(_Kinds(testbed={}, complete={"n": _NODES}, ring={"n": _NODES},
+                          edge_list={"path": _Key(str)})),
+    "consensus": _Key({
+        "scheme": _Key(topology.SCHEMES, "lazy-metropolis"),
+        "rounds": _Key(None, 5),
+        "exact_batch_norm": _Key(bool, False),
+    }, {}),
+    "timing": _Key(_Kinds(
+        shifted_exponential={"rate": _Key(float, above=0), "shift": _Key(float, at_least=0),
+                             "reference_batch": _REFERENCE_BATCH},
+        deterministic={"period": _Key(float, above=0),
+                       "reference_batch": _REFERENCE_BATCH._replace(default=1)},
+        grouped_pause={"group_means": _Key([float]), "group_vars": _Key([float], None, at_least=0),
+                       "assignment": _Key([int], at_least=0),
+                       "base_gradient_time": _Key(float, 5.0, above=0)},
+        trace={"path": _Key(str), "reference_batch": _REFERENCE_BATCH},
+    ), {"kind": "deterministic", "period": 1.0}),
+    "schedule": _Key({"offset": _Key(_AUTO, "auto", at_least=0),
+                     "work_scale": _Key(_AUTO, "auto", above=0)}, {}),
+    "run": _Key({
+        "tau": _Key(int, at_least=0),
+        "seed": _SEED,
+        "compute_time": _Key(_AUTO, 1.0, above=0),
+        "communication_time": _Key(float, 0.5, at_least=0),
+        "batch": _Key(int, None, at_least=1),
+        "radius": _Key(_AUTO, "auto", above=0),
+        "holdout": _Key(int, 0, at_least=0),
+    }),
+    "output": _Key({
+        "directory": _Key(str, "out"),
+        "repeats": _Key(int, 1, at_least=1),
+        "seeds": _Key([int], None, at_least=0),
+        "paired": _Key(bool, False),
+    }, {}),
+}
+
+
+def _fits(value, kind, key: _Key) -> bool:
+    """Whether a scalar ``value`` has type ``kind`` and lies within ``key``'s bound."""
+    if kind is _AUTO and value == "auto":
+        return True
+    return _TYPES[kind][0](value) and not (key.at_least is not None and value < key.at_least
+                                           or key.above is not None and value <= key.above)
+
+
+def _value(value, key: _Key, name: str):
+    kind = key.type
+    if kind is None:
+        return value
+    if isinstance(kind, dict):
+        return _section(value, kind, name + ".")
+    if isinstance(kind, tuple):
+        if type(value) is str and value in kind:
+            return value
+        raise ConfigError(f"key '{name}' must be one of {kind}, got {value!r}")
+    if isinstance(kind, list):
+        kind, phrase = kind[0], "a list, each entry "
+        if type(value) is list and all(_fits(v, kind, key) for v in value):
+            return [float(v) for v in value] if kind is float else value
+    else:
+        phrase = ""
+        if _fits(value, kind, key):
+            return float(value) if kind is float or kind is _AUTO and value != "auto" else value
+    bound = (f" >= {key.at_least:g}" if key.at_least is not None
+             else f" > {key.above:g}" if key.above is not None else "")
+    raise ConfigError(f"key '{name}' must be {phrase}{_TYPES[kind][1]}{bound}, got {value!r}")
+
+
+def _section(section, table: dict, prefix: str) -> dict:
+    """``section`` checked against ``table``, with every default filled in.
+
+    ``prefix`` is the section's path with a trailing dot, or "" for the root.
+    """
+    if type(section) is not dict:
+        raise ConfigError(f"key '{prefix[:-1]}' must be a JSON object, got {section!r}"
+                          if prefix else "config root must be a JSON object")
+    out = {}
+    if isinstance(table, _Kinds):
+        kind = out["kind"] = _value(section.get("kind"), _Key(tuple(table)), prefix + "kind")
+        table = table[kind]
+    for key in section:
+        if key not in table and key not in out:
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+    for key, entry in table.items():
+        name = prefix + key
+        value = section.get(key, entry.default)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required key '{name}'")
+        out[key] = value if value is None and entry.default is None else _value(value, entry, name)
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,168 +208,66 @@ class ExperimentSpec:
 
 
 def parse_config(path) -> ExperimentSpec:
-    """Load and validate a JSON experiment config, filling documented defaults."""
+    """Load a JSON experiment config, check it against `_SCHEMA` and fill its defaults.
+
+    Only the rules that relate two keys, or a key to the environment, are
+    written out below.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, {"mode", "objective", "topology", "consensus", "timing",
-                      "schedule", "run", "output"}, "")
-    mode = _get(raw, "mode", "", str)
-    if mode not in engine.MODES:
-        raise ConfigError(f"key 'mode' must be one of {engine.MODES}, got {mode!r}")
+        spec = ExperimentSpec(**_section(json.load(fh), _SCHEMA, ""))
 
-    obj = dict(_get(raw, "objective", "", dict))
-    kind = _get(obj, "kind", "objective", str)
-    if kind == "linear_regression":
-        _check_keys(obj, {"kind", "dim", "noise_var", "seed"}, "objective")
-        obj.setdefault("noise_var", 1e-3)
-        _get(obj, "dim", "objective", int)
-        _int_at_least(obj, "seed", "objective", 0)
-    elif kind == "logistic_regression":
-        _check_keys(obj, {"kind", "classes", "dim", "seed", "csv_path", "cluster_spread"},
-                    "objective")
-        _get(obj, "classes", "objective", int)
-        _get(obj, "dim", "objective", int)
-        _int_at_least(obj, "seed", "objective", 0)
-        obj.setdefault("cluster_spread", 2.0)
-    else:
-        raise ConfigError(f"key 'objective.kind' unknown: {kind!r}")
-
-    topo = dict(_get(raw, "topology", "", dict))
-    tk = _get(topo, "kind", "topology", str)
-    if tk == "testbed":
-        _check_keys(topo, {"kind"}, "topology")
-    elif tk in ("complete", "ring"):
-        _check_keys(topo, {"kind", "n"}, "topology")
-        _get(topo, "n", "topology", int)
-    elif tk == "edge_list":
-        _check_keys(topo, {"kind", "path"}, "topology")
-        _get(topo, "path", "topology", str)
-    else:
-        raise ConfigError(f"key 'topology.kind' unknown: {tk!r}")
-
-    cons = dict(raw.get("consensus", {}))
-    _check_keys(cons, {"scheme", "rounds", "exact_batch_norm"}, "consensus")
-    cons.setdefault("scheme", "lazy-metropolis")
-    cons.setdefault("rounds", 5)
-    cons.setdefault("exact_batch_norm", False)
-    if cons["scheme"] not in topology.SCHEMES:
-        raise ConfigError(f"key 'consensus.scheme' must be one of {topology.SCHEMES}")
-    rounds = cons["rounds"]
-    if isinstance(rounds, list):
-        if len(rounds) != 3 or rounds[0] != "uniform":
-            raise ConfigError("key 'consensus.rounds' list form is ['uniform', low, high]")
-        counts = rounds[1:]
-    else:
-        counts = [] if rounds == "exact" else [rounds]
+    rounds = spec.consensus["rounds"]
+    uniform = type(rounds) is list and len(rounds) == 3 and rounds[0] == "uniform"
+    counts = rounds[1:] if uniform else [] if rounds == "exact" else [rounds]
     if not all(type(c) is int and c >= 1 for c in counts) or counts != sorted(counts):
         raise ConfigError("key 'consensus.rounds' must be an integer >= 1, 'exact', or "
                           f"['uniform', low, high] with integers 1 <= low <= high, got {rounds!r}")
-    if not isinstance(cons["exact_batch_norm"], bool):
-        raise ConfigError("key 'consensus.exact_batch_norm' must be a boolean")
 
-    tim = dict(raw.get("timing", {"kind": "deterministic", "period": 1.0, "reference_batch": 1}))
-    tkind = _get(tim, "kind", "timing", str)
-    if tkind == "shifted_exponential":
-        _check_keys(tim, {"kind", "rate", "shift", "reference_batch"}, "timing")
-        _get(tim, "rate", "timing", float)
-        _get(tim, "shift", "timing", float)
-    elif tkind == "deterministic":
-        _check_keys(tim, {"kind", "period", "reference_batch"}, "timing")
-        _get(tim, "period", "timing", float)
-        tim.setdefault("reference_batch", 1)
-    elif tkind == "grouped_pause":
-        _check_keys(tim, {"kind", "group_means", "group_vars", "assignment",
-                          "base_gradient_time"}, "timing")
-        means = _number_list(tim, "group_means", "timing")
-        tim.setdefault("group_vars", [float((j + 1) ** 2) for j in range(len(means))])
-        if len(_number_list(tim, "group_vars", "timing", minimum=0.0)) != len(means):
+    tim = spec.timing
+    if tim["kind"] == "grouped_pause":
+        groups = len(tim["group_means"])
+        if tim["group_vars"] is None:
+            tim["group_vars"] = [float((j + 1) ** 2) for j in range(groups)]
+        if len(tim["group_vars"]) != groups:
             raise ConfigError("key 'timing.group_vars' must have one entry per group mean")
-        assignment = _get(tim, "assignment", "timing", list)
-        if not all(type(j) is int and 0 <= j < len(means) for j in assignment):
+        if any(j >= groups for j in tim["assignment"]):
             raise ConfigError(f"key 'timing.assignment' must list group indices in "
-                              f"[0, {len(means)}), got {assignment!r}")
-        tim.setdefault("base_gradient_time", 5.0)
-        if not _get(tim, "base_gradient_time", "timing", float) > 0:
-            raise ConfigError("key 'timing.base_gradient_time' must be positive")
-    elif tkind == "trace":
-        _check_keys(tim, {"kind", "path", "reference_batch"}, "timing")
-        _get(tim, "path", "timing", str)
-    else:
-        raise ConfigError(f"key 'timing.kind' unknown: {tkind!r}")
-    if tkind != "grouped_pause":
-        batch = _get(tim, "reference_batch", "timing", int)
-        if batch < 1 or not _is_finite(batch):
-            raise ConfigError(f"key 'timing.reference_batch' must be an integer >= 1 within "
-                              f"the float range, got {batch!r}")
+                              f"[0, {groups}), got {tim['assignment']!r}")
 
-    sched = dict(raw.get("schedule", {}))
-    _check_keys(sched, {"offset", "work_scale"}, "schedule")
-    sched["offset"] = _number_or_auto(sched, "offset", "schedule", "auto")
-    sched["work_scale"] = _number_or_auto(sched, "work_scale", "schedule", "auto")
-
-    run = dict(_get(raw, "run", "", dict))
-    _check_keys(run, {"tau", "compute_time", "communication_time", "batch",
-                      "radius", "seed", "holdout"}, "run")
-    _int_at_least(run, "tau", "run", 0)
-    _int_at_least(run, "seed", "run", 0)
-    run["compute_time"] = _number_or_auto(run, "compute_time", "run", 1.0)
-    run["communication_time"] = float(_get(run, "communication_time", "run", float, 0.5))
-    run["batch"] = _int_at_least(run, "batch", "run", 1, None)
-    run["radius"] = _number_or_auto(run, "radius", "run", "auto")
-    run["holdout"] = _int_at_least(run, "holdout", "run", 0, 0)
+    seeds = spec.output["seeds"]
+    if seeds is not None and len(set(seeds)) != len(seeds):
+        raise ConfigError(f"key 'output.seeds' must list distinct seeds, got {seeds!r}")
     env_seed = os.environ.get("AMB_SEED")
     if env_seed is not None and not (env_seed.isascii() and env_seed.isdigit()):
         raise ConfigError(f"environment variable AMB_SEED must be an integer >= 0, "
                           f"got {env_seed!r}")
-
-    out = dict(raw.get("output", {}))
-    _check_keys(out, {"directory", "repeats", "seeds", "paired", "bound_report"}, "output")
-    out.setdefault("directory", "out")
-    out.setdefault("repeats", 1)
-    out.setdefault("seeds", None)
-    out.setdefault("paired", False)
-    out.setdefault("bound_report", False)
-    if type(out["repeats"]) is not int or out["repeats"] < 1:
-        raise ConfigError(f"key 'output.repeats' must be an integer >= 1, got {out['repeats']!r}")
-    for key in ("paired", "bound_report"):
-        _get(out, key, "output", bool)
-    if out["seeds"] is not None:
-        seeds = out["seeds"]
-        if (not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds)
-                or len(set(seeds)) != len(seeds)):
-            raise ConfigError(f"key 'output.seeds' must be a list of distinct integers >= 0, "
-                              f"got {seeds!r}")
-
-    return ExperimentSpec(mode=mode, objective=obj, topology=topo, consensus=cons,
-                          timing=tim, schedule=sched, run=run, output=out)
+    return spec
 
 
 def write_config(spec: ExperimentSpec, path):
     """Write a spec back to JSON; `parse_config` of the result reproduces it."""
-    payload = {
-        "mode": spec.mode,
-        "objective": spec.objective,
-        "topology": spec.topology,
-        "consensus": spec.consensus,
-        "timing": spec.timing,
-        "schedule": spec.schedule,
-        "run": spec.run,
-        "output": spec.output,
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+@contextmanager
+def _naming(key: str):
+    """Re-raise a ValueError or OSError from loading ``key``'s value as a ConfigError naming it."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"key '{key}': {exc}") from None
 
 
 def build_objective(section: dict):
     if section["kind"] == "linear_regression":
         return objectives.make_linear_regression(section["dim"], section["noise_var"],
                                                  section["seed"])
-    return objectives.make_logistic_regression(
-        section["classes"], section["dim"], section["seed"],
-        csv_path=section.get("csv_path"), cluster_spread=section["cluster_spread"])
+    with _naming("objective.csv_path"):
+        return objectives.make_logistic_regression(
+            section["classes"], section["dim"], section["seed"],
+            csv_path=section["csv_path"], cluster_spread=section["cluster_spread"])
 
 
 def build_graph(section: dict) -> topology.Graph:
@@ -282,7 +278,8 @@ def build_graph(section: dict) -> topology.Graph:
         return topology.complete_graph(section["n"])
     if kind == "ring":
         return topology.ring_graph(section["n"])
-    return topology.load_edge_list(section["path"])
+    with _naming("topology.path"):
+        return topology.load_edge_list(section["path"])
 
 
 def build_timing(section: dict):
@@ -294,33 +291,25 @@ def build_timing(section: dict):
         return timing.DeterministicTiming(section["period"], section["reference_batch"])
     if kind == "grouped_pause":
         return timing.GroupedPauseTiming(
-            tuple(float(m) for m in section["group_means"]),
-            tuple(float(v) for v in section["group_vars"]),
-            tuple(int(j) for j in section["assignment"]),
-            float(section["base_gradient_time"]))
-    try:
+            tuple(section["group_means"]), tuple(section["group_vars"]),
+            tuple(section["assignment"]), section["base_gradient_time"])
+    with _naming("timing.path"):
         return timing.load_timing_trace(section["path"], section["reference_batch"])
-    except ValueError as exc:
-        raise ConfigError(f"key 'timing.path': {exc}") from None
+
+
+def _mixing_matrix(config: engine.RunConfig) -> topology.ConsensusMatrix:
+    with _naming("consensus.scheme"):
+        return topology.build_consensus_matrix(config.graph, config.scheme)
 
 
 def _resolve_compute_time(spec, graph, tmodel):
     value = spec.run["compute_time"]
     if value != "auto":
-        return float(value)
+        return value
     if spec.run["batch"] is None:
         raise ConfigError("run.compute_time 'auto' needs run.batch for the matched pairing")
     mean, _ = tmodel.completion_stats(engine._fmb_batches(spec.run["batch"], graph.n))
     return engine.matched_compute_time(spec.run["batch"], graph.n, mean)
-
-
-def _resolve_radius(spec, model) -> float:
-    value = spec.run["radius"]
-    if value != "auto":
-        return float(value)
-    if model.kind == "linear_regression":
-        return 2.0 * math.sqrt(model.dim)
-    return 10.0
 
 
 def _resolve_schedule(spec, model, graph, tmodel, radius, compute_time, mode) -> dualavg.Schedule:
@@ -355,7 +344,9 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     if spec.timing["kind"] == "trace" and len(tmodel.table) < graph.n:
         raise ConfigError(f"key 'timing.path' has batch times for {len(tmodel.table)} nodes, "
                           f"but the graph has {graph.n} nodes")
-    radius = _resolve_radius(spec, model)
+    radius = spec.run["radius"]
+    if radius == "auto":
+        radius = 2.0 * math.sqrt(model.dim) if model.kind == "linear_regression" else 10.0
     compute_time = None
     if mode in ("amb", "serial"):
         compute_time = _resolve_compute_time(spec, graph, tmodel)
@@ -452,51 +443,22 @@ def _summary_row(seed: int, trace: metrics.RunTrace) -> str:
     ])
 
 
-def _bound_constants(trace: metrics.RunTrace) -> metrics.BoundConstants:
-    model = trace.config.objective
-    if getattr(model, "w_star", None) is None:
-        raise ValueError("bound constants need an objective with a known minimizer")
-    radius = trace.config.radius
-    est = objectives.estimate_constants(model, probe_count=64,
-                                        seed=model.seed + 1_000_003, radius=radius)
-    h_star = 0.5 * float(np.dot(model.w_star, model.w_star))
-    return metrics.BoundConstants(
-        grad_smoothness=est.grad_smoothness,
-        loss_lipschitz=est.loss_lipschitz,
-        grad_variance=est.grad_variance,
-        diameter=2.0 * radius,
-        initial_gap=h_star,
-        h_star=h_star,
-        provenance="estimated (probes) + analytic minimizer",
-    )
-
-
 def run_experiment(spec: ExperimentSpec) -> int:
     """Execute the spec: one run per seed, paired comparison if requested."""
     outdir = spec.output["directory"]
     summary = [SUMMARY_HEADER]
     compare_rows = [COMPARE_HEADER]
-    matrix = None
-
-    def configured(seed, mode):
-        # Every run of one experiment shares its graph and scheme, so the
-        # mixing matrix is built and validated once.
-        nonlocal matrix
-        config = build_run_config(spec, seed, mode)
-        if matrix is None:
-            matrix = topology.build_consensus_matrix(config.graph, config.scheme)
-        return replace(config, matrix=matrix)
-
-    seeds = _seeds(spec)
     modes = ("amb", "fmb") if spec.output["paired"] else (spec.mode,)
-    # A config rejected while building the first seed's runs leaves no directory.
-    built = {(seeds[0], mode): configured(seeds[0], mode) for mode in modes} if seeds else {}
+    # A config depends on its seed only through RunConfig.seed, and every run
+    # shares one graph and scheme. So each mode and the mixing matrix are
+    # built once, and a rejected config leaves no output directory.
+    configs = {mode: build_run_config(spec, spec.run["seed"], mode) for mode in modes}
+    matrix = _mixing_matrix(configs[modes[0]])
     os.makedirs(outdir, exist_ok=True)
-    for seed in seeds:
+    for seed in _seeds(spec):
         traces = {}
         for mode in modes:
-            config = built.pop((seed, mode), None) or configured(seed, mode)
-            trace = traces[mode] = engine.run(config)
+            trace = traces[mode] = engine.run(replace(configs[mode], seed=seed, matrix=matrix))
             write_trace_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}.csv"))
             write_nodes_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}_nodes.csv"))
             summary.append(_summary_row(seed, trace))
@@ -518,11 +480,6 @@ def run_experiment(spec: ExperimentSpec) -> int:
                 _fmt(float(trace_f.error.gap[-1]) if trace_f.error is not None else float("nan")),
                 _fmt(cross),
             ]))
-        elif spec.output["bound_report"]:
-            report = metrics.bound_report(trace, _bound_constants(trace))
-            with open(os.path.join(outdir, f"bounds_seed{seed}.txt"), "w",
-                      encoding="utf-8") as fh:
-                fh.write("\n".join(report.lines()) + "\n")
     with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(summary) + "\n")
     if spec.output["paired"]:
@@ -564,14 +521,26 @@ def _cmd_topology(args) -> int:
 
 def _cmd_bounds(args) -> int:
     spec = parse_config(args.config)
-    seed = _seeds(spec)[0]
-    trace = engine.run(build_run_config(spec, seed))
-    if getattr(trace.config.objective, "w_star", None) is None:
+    config = build_run_config(spec, _seeds(spec)[0])
+    trace = engine.run(replace(config, matrix=_mixing_matrix(config)))
+    model = config.objective
+    if getattr(model, "w_star", None) is None:
         print("bound constants unavailable for this objective (no analytic minimizer); "
               "nothing to report")
         return 0
-    report = metrics.bound_report(trace, _bound_constants(trace))
-    print("\n".join(report.lines()))
+    est = objectives.estimate_constants(model, probe_count=64,
+                                        seed=model.seed + 1_000_003, radius=config.radius)
+    h_star = 0.5 * float(np.dot(model.w_star, model.w_star))
+    constants = metrics.BoundConstants(
+        grad_smoothness=est.grad_smoothness,
+        loss_lipschitz=est.loss_lipschitz,
+        grad_variance=est.grad_variance,
+        diameter=2.0 * config.radius,
+        initial_gap=h_star,
+        h_star=h_star,
+        provenance="estimated (probes) + analytic minimizer",
+    )
+    print("\n".join(metrics.bound_report(trace, constants).lines()))
     return 0
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dualavg, metrics, seeding
-from .topology import ConsensusMatrix, Graph, build_consensus_matrix, row_supports
+from .topology import ConsensusMatrix, Graph, build_consensus_matrix
 
 __all__ = [
     "RunConfig",
@@ -178,23 +178,19 @@ def matched_compute_time(batch: int, n: int, mean_batch_time: float) -> float:
     return (1.0 + n / batch) * mean_batch_time
 
 
-def average_consensus(matrix, values: np.ndarray, rounds: int) -> np.ndarray:
+def average_consensus(matrix: ConsensusMatrix, values: np.ndarray, rounds: int) -> np.ndarray:
     """Apply ``rounds`` synchronous averaging steps to per-node values.
 
-    ``matrix`` is a :class:`ConsensusMatrix` or a dense mixing matrix, and
     ``values`` holds one entry or one row per node. Each step gathers each
     row's nonzero columns and adds their products in ascending column order,
     in O(|E| d). Every column is averaged on its own, so a column carried
     beside others, or alone, or as 1-D values, comes out bit for bit the
     same, and the result never depends on BLAS threading. For rows of d > 1
     entries each step also equals ``(p[:, :, None] * values[None]).sum(axis=1)``
-    bit for bit. The column means of ``values`` are exact invariants of every
-    step (within float error).
+    bit for bit, where ``p`` is ``matrix.matrix``. The column means of
+    ``values`` are exact invariants of every step (within float error).
     """
-    if isinstance(matrix, ConsensusMatrix):
-        columns, weights = matrix.columns, matrix.weights
-    else:
-        columns, weights = row_supports(np.asarray(matrix, dtype=float))
+    columns, weights = matrix.columns, matrix.weights
     values = np.asarray(values, dtype=float)
     out = values.reshape(len(values), -1)
     for _ in range(rounds):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .timing import speedup_bound
+
 __all__ = [
     "RegretSeries",
     "ErrorSeries",
@@ -254,7 +256,7 @@ def speedup_measurement(trace_amb: RunTrace, trace_fmb: RunTrace) -> SpeedupRepo
         compute_time_fixed_window=s_a,
         compute_time_fixed_batch=s_f,
         ratio=s_f / s_a,
-        bound=1.0 + (sigma / mu) * math.sqrt(n - 1.0),
+        bound=speedup_bound(n, mu, sigma),
     )
 
 

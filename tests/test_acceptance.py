@@ -95,7 +95,7 @@ class TestCriterion2ConsensusContraction:
             initial = np.linalg.norm(messages - mean)
             current = messages
             for r in range(1, 21):
-                current = engine.average_consensus(cm.matrix, current, 1)
+                current = engine.average_consensus(cm, current, 1)
                 error = np.linalg.norm(current - mean)
                 assert error <= lam**r * initial * (1 + 1e-9)
                 worst_ratio = max(worst_ratio, error / (lam**r * initial))

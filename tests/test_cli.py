@@ -102,8 +102,11 @@ class TestParsing:
         payload["topology"] = {"kind": "edge_list", "path": str(tmp_path / "missing.txt")}
         path.write_text(json.dumps(payload))
         spec = cli.parse_config(path)
-        with pytest.raises(OSError):
+        with pytest.raises(cli.ConfigError, match="topology.path"):
             cli.build_run_config(spec, seed=1)
+
+
+SOFTMAX = {"kind": "logistic_regression", "classes": 3, "dim": 4, "seed": 3}
 
 
 def paused_config(tmp_path, outdir, **sections):
@@ -356,10 +359,49 @@ class TestSubcommands:
         ("output.repeats", {"output": {"repeats": "2"}}),
         ("output.repeats", {"output": {"repeats": 0}}),
         ("output.paired", {"output": {"paired": "yes"}}),
-        ("output.bound_report", {"output": {"bound_report": 1}}),
+        ("output.bound_report", {"output": {"bound_report": True}}),
     ])
     def test_invalid_numbers_name_the_key(self, tmp_path, capsys, key, sections):
         path = paused_config(tmp_path, tmp_path / "out", **sections)
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, sections", [
+        ("objective.noise_var", "x", {}),
+        ("objective.cluster_spread", "x", {"objective": SOFTMAX}),
+        ("output.directory", 5, {}),
+        ("consensus", 5, {}),
+        ("objective.csv_path", 5, {"objective": SOFTMAX}),
+        ("consensus", [["scheme", "uniform"]], {}),
+        ("objective.dim", 0, {}),
+        ("objective.dim", 0, {"objective": SOFTMAX}),
+        ("objective.classes", 1, {"objective": SOFTMAX}),
+        ("objective.noise_var", -1, {}),
+        ("topology.n", 0, {"topology": {"kind": "ring", "n": 5}}),
+        ("topology.n", 0, {"topology": {"kind": "complete", "n": 5}}),
+        ("timing.rate", -1, {}),
+        ("timing.shift", -1, {}),
+        ("timing.period", 0, {"timing": {"kind": "deterministic", "period": 2.0}}),
+        ("schedule.offset", -1, {}),
+        ("schedule.work_scale", 0, {}),
+        ("run.radius", -1, {}),
+        ("run.compute_time", 0, {}),
+        ("run.communication_time", -1, {}),
+        ("schedule", "x", {}),
+        ("output", "x", {}),
+    ])
+    def test_invalid_values_name_the_key(self, tmp_path, capsys, key, value, sections):
+        path = full_config(tmp_path, tmp_path / "out", **sections)
+        payload = json.loads(path.read_text())
+        section, _, name = key.partition(".")
+        if name:
+            payload[section][name] = value
+        else:
+            payload[section] = value
+        path.write_text(json.dumps(payload))
         assert cli.main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert key in err

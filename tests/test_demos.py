@@ -20,7 +20,17 @@ from pathlib import Path
 
 import pytest
 
+from ambsim import cli
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("config", sorted((ROOT / "demos" / "configs").glob("*.json")),
+                         ids=lambda path: path.name)
+def test_shipped_config_parses_and_builds_each_mode(config):
+    spec = cli.parse_config(config)
+    for mode in ("amb", "fmb") if spec.output["paired"] else (spec.mode,):
+        assert cli.build_run_config(spec, spec.run["seed"], mode).mode == mode
 
 
 @pytest.mark.parametrize("demo", ["01_mixing_and_rounds.py", "02_error_vs_walltime.py",
