@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of the CSV files that six small experiments write.
+"""Pinned SHA-256 digests of the CSV files that seven small experiments write.
 
 A change that claims to keep outputs must leave every digest in place; a
 change that moves one must say why in CHANGES.md. When a digest moves, the
@@ -7,7 +7,9 @@ difference against the reference copy under ``tests/golden/``, which tells
 last-digit drift (a different numpy build) apart from a logic change.
 
 Together the configs cover the testbed in anytime mode with one-dimensional
-messages, a paired ``compare`` with grouped-pause timing, a 30-node ring with
+messages, a paired ``compare`` with grouped-pause timing, a paired ``compare``
+with shifted-exponential timing and a matched ``"auto"`` compute window (the
+linear-progress completion statistics and speedup bound), a 30-node ring with
 per-node ``["uniform", 3, 8]`` round counts, ``"exact"`` rounds in
 fixed-batch mode, ``serial`` mode, and fixed-batch mode replaying per-node
 batch times from ``tests/golden/timing_trace.csv``.
@@ -60,6 +62,17 @@ CONFIGS = {
         "run": {"tau": 8, "compute_time": "auto", "communication_time": 60.0, "batch": 100,
                 "radius": "auto", "seed": 1, "holdout": 200},
         "output": {"repeats": 2},
+    }),
+    "shiftexp_compare": ("compare", {
+        "mode": "amb",
+        "objective": {"kind": "linear_regression", "dim": 5, "noise_var": 0.001, "seed": 19},
+        "topology": {"kind": "testbed"},
+        "consensus": {"rounds": 3},
+        "timing": {"kind": "shifted_exponential", "rate": 0.5, "shift": 1.0,
+                   "reference_batch": 30},
+        "schedule": {"offset": 25.0, "work_scale": 300.0},
+        "run": {"tau": 6, "compute_time": "auto", "communication_time": 1.0, "batch": 300,
+                "radius": "auto", "seed": 31, "holdout": 200},
     }),
     "ring30_uniform": ("run", {
         "mode": "amb",
@@ -130,6 +143,14 @@ GOLDEN = {
         "serial_seed5.csv": "f4fc52cf9ace3957d0d1bfffd7544fd5dfc937ecec8f6db39cfea5f4b6f71782",
         "serial_seed5_nodes.csv": "0d9e169bc2ba4a54b61022678b3945b04d21a5d7381349d991f69b063f0cfb74",
         "summary.csv": "19aa173772119563d4710c63017ac59479c2556d53a62bed673ec66ab23dcfa7",
+    },
+    "shiftexp_compare": {
+        "amb_seed31.csv": "994e2a16514a11ce21f5451db8f050a049cc80ed990d80b244c1fdc294481806",
+        "amb_seed31_nodes.csv": "7226dd96988cf4ef21f219857c7351f046dfee8a8f18fd2947b4df330a685540",
+        "compare.csv": "4df2f0f279ecdad995079e2ffa29f2be0e9d4baca48ed9517942b9a7b752938b",
+        "fmb_seed31.csv": "703db9d1bc32af3324ccf250c6352079457918de10898d12294c44e39506cf17",
+        "fmb_seed31_nodes.csv": "8af8508ea33d80addb109a270cf5683a73c02d2e1db88c80850e1da5016c80ec",
+        "summary.csv": "7b597cde907ef052957531482208d0b8cead9d7bf1d52ea7ba023eef263d0acb",
     },
     "testbed_amb": {
         "amb_seed21.csv": "94d73b9813ed79c281d25a3e98316e717f36577ac9f7f24fad903641e3783755",
