@@ -54,13 +54,14 @@ def _is_number(value) -> bool:
 
 _REQUIRED = object()
 _AUTO = "a finite number or 'auto'"
-_FLOAT_RANGE_INT = "an integer within the float range"
+_SEED_INT = "an integer"
 
 # Each scalar type: whether a value has it, and how an error names it.
-# Integers may exceed the float range (seeds do); floats must be finite.
+# Seeds may be integers of any size. Every other integer must fit in int64,
+# because it sizes arrays or enters float arithmetic. Floats must be finite.
 _TYPES = {
-    int: (lambda v: type(v) is int, "an integer"),
-    _FLOAT_RANGE_INT: (lambda v: type(v) is int and _is_number(v), _FLOAT_RANGE_INT),
+    _SEED_INT: (lambda v: type(v) is int, _SEED_INT),
+    int: (lambda v: type(v) is int and -2**63 <= v < 2**63, "an integer within int64"),
     float: (_is_number, "a finite number"),
     _AUTO: (_is_number, _AUTO),
     str: (lambda v: type(v) is str, "a string"),
@@ -89,19 +90,18 @@ class _Kinds(dict):
 
 
 # Entries that several tables share.
-_SEED = _Key(int, at_least=0)
-_DIM = _Key(int, at_least=1)
-_NODES = _Key(int, at_least=1)
-_REFERENCE_BATCH = _Key(_FLOAT_RANGE_INT, at_least=1)
+_SEED = _Key(_SEED_INT, at_least=0)
+_POSITIVE = _Key(int, at_least=1)
 
 _SCHEMA = {
     "mode": _Key(engine.MODES),
     "objective": _Key(_Kinds(
-        linear_regression={"dim": _DIM, "noise_var": _Key(float, 1e-3, at_least=0), "seed": _SEED},
-        logistic_regression={"classes": _Key(int, at_least=2), "dim": _DIM, "seed": _SEED,
+        linear_regression={"dim": _POSITIVE, "noise_var": _Key(float, 1e-3, at_least=0),
+                           "seed": _SEED},
+        logistic_regression={"classes": _Key(int, at_least=2), "dim": _POSITIVE, "seed": _SEED,
                              "csv_path": _Key(str, None), "cluster_spread": _Key(float, 2.0)},
     )),
-    "topology": _Key(_Kinds(testbed={}, complete={"n": _NODES}, ring={"n": _NODES},
+    "topology": _Key(_Kinds(testbed={}, complete={"n": _POSITIVE}, ring={"n": _POSITIVE},
                           edge_list={"path": _Key(str)})),
     "consensus": _Key({
         "scheme": _Key(topology.SCHEMES, "lazy-metropolis"),
@@ -110,13 +110,13 @@ _SCHEMA = {
     }, {}),
     "timing": _Key(_Kinds(
         shifted_exponential={"rate": _Key(float, above=0), "shift": _Key(float, at_least=0),
-                             "reference_batch": _REFERENCE_BATCH},
+                             "reference_batch": _POSITIVE},
         deterministic={"period": _Key(float, above=0),
-                       "reference_batch": _REFERENCE_BATCH._replace(default=1)},
+                       "reference_batch": _POSITIVE._replace(default=1)},
         grouped_pause={"group_means": _Key([float]), "group_vars": _Key([float], None, at_least=0),
                        "assignment": _Key([int], at_least=0),
                        "base_gradient_time": _Key(float, 5.0, above=0)},
-        trace={"path": _Key(str), "reference_batch": _REFERENCE_BATCH},
+        trace={"path": _Key(str), "reference_batch": _POSITIVE},
     ), {"kind": "deterministic", "period": 1.0}),
     "schedule": _Key({"offset": _Key(_AUTO, "auto", at_least=0),
                      "work_scale": _Key(_AUTO, "auto", above=0)}, {}),
@@ -131,8 +131,8 @@ _SCHEMA = {
     }),
     "output": _Key({
         "directory": _Key(str, "out"),
-        "repeats": _Key(int, 1, at_least=1),
-        "seeds": _Key([int], None, at_least=0),
+        "repeats": _POSITIVE._replace(default=1),
+        "seeds": _Key([_SEED_INT], None, at_least=0),
         "paired": _Key(bool, False),
     }, {}),
 }
@@ -235,8 +235,9 @@ def parse_config(path) -> ExperimentSpec:
                               f"[0, {groups}), got {tim['assignment']!r}")
 
     seeds = spec.output["seeds"]
-    if seeds is not None and len(set(seeds)) != len(seeds):
-        raise ConfigError(f"key 'output.seeds' must list distinct seeds, got {seeds!r}")
+    if seeds is not None and (not seeds or len(set(seeds)) != len(seeds)):
+        raise ConfigError(f"key 'output.seeds' must list one or more distinct seeds, "
+                          f"got {seeds!r}")
     env_seed = os.environ.get("AMB_SEED")
     if env_seed is not None and not (env_seed.isascii() and env_seed.isdigit()):
         raise ConfigError(f"environment variable AMB_SEED must be an integer >= 0, "
@@ -393,62 +394,48 @@ def _seeds(spec: ExperimentSpec):
     return [base + i for i in range(int(spec.output["repeats"]))]
 
 
+def _write_csv(path, header: str, rows):
+    """Write ``header`` and one line per row of cells; floats use 17 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n")
+
+
+def _series(trace: metrics.RunTrace):
+    """Wall time, error gap and regret at the start and after each epoch, as lists.
+
+    The run starts at wall 0.0. A series the run did not keep (no holdout,
+    no known optimum, or no epochs) reads NaN throughout.
+    """
+    missing = [math.nan] * (trace.tau + 1)
+    gap = trace.error.gap.tolist() if trace.error is not None else missing
+    regret = [0.0, *trace.regret.potential.tolist()] if trace.regret is not None else missing
+    return [0.0, *trace.wall.tolist()], gap, regret
+
+
 def write_trace_csv(trace: metrics.RunTrace, path):
     """Write the documented per-epoch trace; floats use 17 significant digits."""
-    lines = [TRACE_HEADER]
-    for k, record in enumerate(trace.records):
-        gap = trace.error.gap[k + 1] if trace.error is not None else float("nan")
-        regret = trace.regret.potential[k] if trace.regret is not None else float("nan")
-        rounds_used = int(record.rounds_used.max()) if record.rounds_used.size else 0
-        lines.append(",".join([
-            str(record.epoch),
-            _fmt(float(record.wall_end)),
-            str(record.global_batch),
-            str(record.global_potential),
-            str(rounds_used),
-            _fmt(float(record.consensus_error)),
-            _fmt(float(gap)),
-            _fmt(float(regret)),
-        ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    wall, gap, regret = _series(trace)
+    _write_csv(path, TRACE_HEADER, (
+        (r.epoch, wall[k], r.global_batch, r.global_potential, int(r.rounds_used.max()),
+         r.consensus_error, gap[k], regret[k])
+        for k, r in enumerate(trace.records, start=1)))
 
 
 def write_nodes_csv(trace: metrics.RunTrace, path):
-    lines = [NODES_HEADER]
-    for record in trace.records:
-        for i in range(len(record.batch_sizes)):
-            lines.append(",".join([
-                str(record.epoch),
-                str(i),
-                str(int(record.batch_sizes[i])),
-                str(int(record.extra_capacity[i])),
-                str(int(record.batch_sizes[i] + record.extra_capacity[i])),
-                str(int(record.rounds_used[i])),
-                _fmt(float(record.batch_times[i])),
-            ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _summary_row(seed: int, trace: metrics.RunTrace) -> str:
-    gap = trace.error.gap[-1] if trace.error is not None else float("nan")
-    regret = trace.regret.potential[-1] if trace.regret is not None else float("nan")
-    wall = trace.wall[-1] if trace.tau else 0.0
-    return ",".join([
-        str(seed), trace.mode, str(trace.tau), str(trace.config.graph.n),
-        _fmt(float(trace.lambda2)), _fmt(float(wall)),
-        str(trace.processed_total), str(trace.potential_total),
-        _fmt(float(gap)), _fmt(float(regret)),
-    ])
+    """Write each epoch's per-node b_i, a_i, c_i = b_i + a_i, rounds r_i and T_i."""
+    _write_csv(path, NODES_HEADER, (
+        (r.epoch, i, b, a, b + a, rounds, t)
+        for r in trace.records
+        for i, (b, a, rounds, t) in enumerate(zip(r.batch_sizes.tolist(), r.extra_capacity.tolist(),
+                                                  r.rounds_used.tolist(), r.batch_times.tolist()))))
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Execute the spec: one run per seed, paired comparison if requested."""
     outdir = spec.output["directory"]
-    summary = [SUMMARY_HEADER]
-    compare_rows = [COMPARE_HEADER]
-    modes = ("amb", "fmb") if spec.output["paired"] else (spec.mode,)
+    paired = spec.output["paired"]
+    summary, compare = [], []
+    modes = ("amb", "fmb") if paired else (spec.mode,)
     # A config depends on its seed only through RunConfig.seed, and every run
     # shares one graph and scheme. So each mode and the mixing matrix are
     # built once, and a rejected config leaves no output directory.
@@ -456,35 +443,24 @@ def run_experiment(spec: ExperimentSpec) -> int:
     matrix = _mixing_matrix(configs[modes[0]])
     os.makedirs(outdir, exist_ok=True)
     for seed in _seeds(spec):
-        traces = {}
+        traces, ends = {}, {}
         for mode in modes:
             trace = traces[mode] = engine.run(replace(configs[mode], seed=seed, matrix=matrix))
             write_trace_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}.csv"))
             write_nodes_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}_nodes.csv"))
-            summary.append(_summary_row(seed, trace))
-        if spec.output["paired"]:
-            trace_a, trace_f = traces["amb"], traces["fmb"]
-            report = metrics.speedup_measurement(trace_a, trace_f)
-            cross = float("nan")
-            if trace_a.error is not None and trace_f.error is not None:
-                cross = metrics.time_to_reach(trace_a.error, float(trace_f.error.gap[-1]))
-            compare_rows.append(",".join([
-                str(seed),
-                _fmt(report.compute_time_fixed_window),
-                _fmt(report.compute_time_fixed_batch),
-                _fmt(report.ratio),
-                _fmt(report.bound),
-                _fmt(float(trace_a.wall[-1] if trace_a.tau else 0.0)),
-                _fmt(float(trace_f.wall[-1] if trace_f.tau else 0.0)),
-                _fmt(float(trace_a.error.gap[-1]) if trace_a.error is not None else float("nan")),
-                _fmt(float(trace_f.error.gap[-1]) if trace_f.error is not None else float("nan")),
-                _fmt(cross),
-            ]))
-    with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(summary) + "\n")
-    if spec.output["paired"]:
-        with open(os.path.join(outdir, "compare.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(compare_rows) + "\n")
+            wall, gap, regret = ends[mode] = [column[-1] for column in _series(trace)]
+            summary.append((seed, mode, trace.tau, trace.config.graph.n, trace.lambda2, wall,
+                            trace.processed_total, trace.potential_total, gap, regret))
+        if paired:
+            report = metrics.speedup_measurement(traces["amb"], traces["fmb"])
+            (wall_a, gap_a, _), (wall_f, gap_f, _) = ends["amb"], ends["fmb"]
+            cross = (math.nan if traces["amb"].error is None or traces["fmb"].error is None
+                     else metrics.time_to_reach(traces["amb"].error, gap_f))
+            compare.append((seed, report.compute_time_fixed_window, report.compute_time_fixed_batch,
+                            report.ratio, report.bound, wall_a, wall_f, gap_a, gap_f, cross))
+    _write_csv(os.path.join(outdir, "summary.csv"), SUMMARY_HEADER, summary)
+    if paired:
+        _write_csv(os.path.join(outdir, "compare.csv"), COMPARE_HEADER, compare)
     return 0
 
 
@@ -522,12 +498,13 @@ def _cmd_topology(args) -> int:
 def _cmd_bounds(args) -> int:
     spec = parse_config(args.config)
     config = build_run_config(spec, _seeds(spec)[0])
-    trace = engine.run(replace(config, matrix=_mixing_matrix(config)))
+    matrix = _mixing_matrix(config)
     model = config.objective
     if getattr(model, "w_star", None) is None:
         print("bound constants unavailable for this objective (no analytic minimizer); "
               "nothing to report")
         return 0
+    trace = engine.run(replace(config, matrix=matrix))
     est = objectives.estimate_constants(model, probe_count=64,
                                         seed=model.seed + 1_000_003, radius=config.radius)
     h_star = 0.5 * float(np.dot(model.w_star, model.w_star))

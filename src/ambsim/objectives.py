@@ -104,12 +104,12 @@ class LinearRegressionObjective:
         )
 
     def sample_loss(self, w, x, y) -> float:
-        r = float(np.dot(x, w)) - float(y)
+        r = float((x * w).sum()) - float(y)
         return 0.5 * r * r
 
     def sample_grad(self, w, x, y) -> np.ndarray:
-        r = float(np.dot(x, w)) - float(y)
-        return r * np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        return (float((x * w).sum()) - float(y)) * x
 
     def loss_batch(self, w, x, y) -> np.ndarray:
         residual = (x * w).sum(axis=1) - y
@@ -219,10 +219,7 @@ class MulticlassLogisticObjective:
         weights = np.asarray(w, dtype=float).reshape(self.classes, self.feat_dim)
         probs = np.exp(self._log_probs(weights, x))
         probs[np.arange(x.shape[0]), y] -= 1.0
-        grad = np.empty((self.classes, self.feat_dim))
-        for cls in range(self.classes):
-            grad[cls] = np.mean(x * probs[:, cls, None], axis=0)
-        return grad.reshape(self.dim)
+        return (probs[:, :, None] * x[:, None, :]).mean(axis=0).reshape(self.dim)
 
 
 def make_linear_regression(dim: int, noise_var: float, seed: int) -> LinearRegressionObjective:
@@ -293,6 +290,11 @@ def gradient_variance_at(model, w, sample_count: int, seed: int) -> float:
     return float(np.mean(((grads - center) ** 2).sum(axis=1)))
 
 
+def _norm(v) -> float:
+    """Euclidean norm from a numpy pairwise sum; ``np.linalg.norm(v)`` calls BLAS ``ddot``."""
+    return math.sqrt(float((v * v).sum()))
+
+
 def estimate_constants(model, probe_count: int, seed: int, radius: float = 1.0) -> EstimatedConstants:
     """Probe-based estimates of the model's regularity constants.
 
@@ -320,23 +322,23 @@ def estimate_constants(model, probe_count: int, seed: int, radius: float = 1.0) 
     step = 1e-3 * radius
     for i in range(probe_count):
         w = rng.standard_normal(dim)
-        w *= radius * rng.uniform(0.0, 1.0) ** (1.0 / min(dim, 64)) / np.linalg.norm(w)
+        w *= radius * rng.uniform(0.0, 1.0) ** (1.0 / min(dim, 64)) / _norm(w)
         g = model.sample_grad(w, x[i], y[i])
-        lipschitz = max(lipschitz, float(np.linalg.norm(g)))
+        lipschitz = max(lipschitz, _norm(g))
         directions = [rng.standard_normal(dim)]
         feature_dir = np.zeros(dim)
         flat = np.asarray(x[i], dtype=float).ravel()
         feature_dir[: flat.size] = flat
-        if np.linalg.norm(feature_dir) > 0:
+        if _norm(feature_dir) > 0:
             directions.append(feature_dir)
         for direction in directions:
-            direction = direction / np.linalg.norm(direction)
+            direction = direction / _norm(direction)
             g2 = model.sample_grad(w + step * direction, x[i], y[i])
-            smooth = max(smooth, float(np.linalg.norm(g2 - g)) / step)
+            smooth = max(smooth, _norm(g2 - g) / step)
     variance = 0.0
     for j in range(max(2, probe_count // 8)):
         w = rng.standard_normal(dim)
-        w *= radius / np.linalg.norm(w)
+        w *= radius / _norm(w)
         variance = max(variance, gradient_variance_at(model, w, max(8, probe_count), seed + 7919 * (j + 1)))
     return EstimatedConstants(
         grad_smoothness=smooth,

@@ -202,9 +202,14 @@ class TraceTiming(_LinearProgress):
         return float(np.mean([t for times in self.table for t in times]))
 
     def completion_stats(self, counts) -> tuple:
+        """Population mean and std of the per-node time; node i runs ``counts[i]`` gradients.
+
+        Only the first ``len(counts)`` trace nodes run; a trace may list more.
+        """
         scale = np.asarray(counts, dtype=float) / self.reference_batch
-        per_node_mean = np.array([np.mean(times) for times in self.table])
-        per_node_var = np.array([np.var(times) for times in self.table])
+        table = self.table[: len(scale)]
+        per_node_mean = np.array([np.mean(times) for times in table])
+        per_node_var = np.array([np.var(times) for times in table])
         mean = float(np.mean(scale * per_node_mean))
         var = float(np.mean(scale**2 * per_node_var) + np.var(scale * per_node_mean))
         return mean, math.sqrt(var)

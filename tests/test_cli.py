@@ -96,6 +96,15 @@ class TestParsing:
         assert cfg.comm_time == 4.5
         assert cfg.rounds == 5
 
+    def test_seeds_may_be_any_size(self, tmp_path):
+        path = minimal_config(tmp_path, seed=2**70)
+        payload = json.loads(path.read_text())
+        payload["objective"]["seed"] = 10**30
+        payload["output"] = {"seeds": [2**64, 2**64 + 1]}
+        path.write_text(json.dumps(payload))
+        spec = cli.parse_config(path)
+        assert cli.build_run_config(spec, seed=spec.output["seeds"][0]).seed == 2**64
+
     def test_invalid_topology_reference(self, tmp_path):
         path = minimal_config(tmp_path)
         payload = json.loads(path.read_text())
@@ -280,6 +289,20 @@ class TestTraceTimingFailsClosed:
         path = trace_config(tmp_path, tmp_path / "out", rows=rows)
         assert cli.main(["run", str(path)]) == 0
 
+    @pytest.mark.parametrize("command, compute_time", [("run", "auto"), ("compare", 2.0)])
+    def test_a_trace_with_more_nodes_than_the_graph_times_the_graph(self, tmp_path, command,
+                                                                   compute_time):
+        # The matched window ("auto") and the compare speedup bound both take
+        # completion statistics over the graph's 10 nodes, not the trace's 12.
+        rows = [f"{i},{t},{1.0 + 0.25 * i + 0.5 * t}" for i in range(12) for t in (1, 2)]
+        run = {"tau": 2, "compute_time": compute_time, "communication_time": 0.5, "batch": 42,
+               "radius": 6.0, "seed": 15}
+        path = trace_config(tmp_path, tmp_path / "out", rows=rows, mode="amb",
+                            topology={"kind": "testbed"}, run=run)
+        assert cli.main([command, str(path)]) == 0
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert len(summary) == (3 if command == "compare" else 2)
+
 
 class TestAutoResolution:
     # Exact floats: the anytime work scale comes from each timing model's
@@ -392,6 +415,10 @@ class TestSubcommands:
         ("run.communication_time", -1, {}),
         ("schedule", "x", {}),
         ("output", "x", {}),
+        pytest.param("run.batch", 10**400, {"mode": "fmb"}, id="run.batch-10**400"),
+        pytest.param("run.batch", 10**300, {"mode": "fmb"}, id="run.batch-10**300"),
+        pytest.param("run.batch", 2**63, {"mode": "fmb"}, id="run.batch-2**63"),
+        ("output.seeds", [], {}),
     ])
     def test_invalid_values_name_the_key(self, tmp_path, capsys, key, value, sections):
         path = full_config(tmp_path, tmp_path / "out", **sections)
@@ -489,6 +516,15 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "sample-path bound" in out
         assert "empirical regret" in out
+
+    def test_bounds_without_a_minimizer_runs_nothing(self, tmp_path, capsys, monkeypatch):
+        from ambsim import engine
+        runs = []
+        monkeypatch.setattr(engine, "run", lambda config: runs.append(config))
+        path = full_config(tmp_path, tmp_path / "out", objective=SOFTMAX)
+        assert cli.main(["bounds", str(path)]) == 0
+        assert "unavailable" in capsys.readouterr().out
+        assert runs == []
 
     def test_gnuplot_subcommand(self, capsys):
         assert cli.main(["gnuplot", "trace.csv"]) == 0

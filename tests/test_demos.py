@@ -8,7 +8,8 @@ directory, so the CSV files that demos 02 and 04 write under
 ``03_speedup_scaling.py`` is left out: it takes about 26 s on a 2-vCPU
 host, more than twice the other five together, and calls only
 ``ShiftedExponential.batch_time`` and the closed-form speedup functions,
-which ``tests/test_timing.py`` covers.
+which ``tests/test_timing.py`` covers. The CI workflow runs it as a step of
+its own.
 """
 
 from __future__ import annotations

@@ -164,6 +164,34 @@ class TestMinibatchGradient:
         other = objectives.minibatch_gradient(model, w, (x[perm], y[perm]))
         assert np.linalg.norm(base - other) <= 1e-12 * max(1.0, np.linalg.norm(base))
 
+    def test_linear_sample_grad_is_grad_mean_of_one_row_bit_for_bit(self):
+        # Both reduce x * w with numpy's pairwise sum, not BLAS, so neither
+        # depends on which BLAS numpy links.
+        model = objectives.make_linear_regression(50, 0.2, seed=15)
+        x, y = model.draw(0, 1, 300)
+        w = np.random.default_rng(1).standard_normal(50)
+        for k in range(300):
+            one_row = model.grad_mean(w, x[k:k + 1], y[k:k + 1])
+            assert model.sample_grad(w, x[k], y[k]).tobytes() == one_row.tobytes()
+
+    def test_softmax_grad_mean_matches_per_class_loop_bit_for_bit(self):
+        # The oracle is the per-class loop that the broadcast replaced. With a
+        # single feature column the loop's mean is a pairwise sum and the
+        # broadcast's a running one, so the shapes start at two features.
+        rng = np.random.default_rng(2)
+        for trial in range(100):
+            classes, feat, rows = (int(v) for v in rng.integers((2, 2, 1), (12, 30, 200)))
+            model = objectives.make_logistic_regression(classes, feat, seed=trial)
+            x = rng.standard_normal((rows, feat))
+            y = rng.integers(0, classes, rows)
+            w = rng.standard_normal(model.dim)
+            probs = np.exp(model._log_probs(w.reshape(classes, feat), x))
+            probs[np.arange(rows), y] -= 1.0
+            oracle = np.empty((classes, feat))
+            for cls in range(classes):
+                oracle[cls] = np.mean(x * probs[:, cls, None], axis=0)
+            assert model.grad_mean(w, x, y).tobytes() == oracle.reshape(-1).tobytes()
+
     def test_empty_batch_signals(self):
         model = objectives.make_linear_regression(4, 0.2, seed=14)
         with pytest.raises(objectives.EmptyBatchError):
