@@ -322,8 +322,6 @@ def _resolve_schedule(spec, model, graph, tmodel, radius, compute_time, mode) ->
     scale = spec.schedule["work_scale"]
     if scale == "auto":
         if mode == "fmb":
-            if spec.run["batch"] is None:
-                raise ConfigError("schedule.work_scale 'auto' in fmb mode needs run.batch")
             scale = float(spec.run["batch"])
         else:
             scale = tmodel.mean_window_batch(compute_time, graph.n)
@@ -345,6 +343,14 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     if spec.timing["kind"] == "trace" and len(tmodel.table) < graph.n:
         raise ConfigError(f"key 'timing.path' has batch times for {len(tmodel.table)} nodes, "
                           f"but the graph has {graph.n} nodes")
+    if mode == "fmb":
+        if spec.run["batch"] is None:
+            raise ConfigError("key 'run.batch' is required in fmb mode")
+        # A node draws its ceil(batch / n) samples as one float64 array.
+        rows = -(-spec.run["batch"] // graph.n)
+        if rows * model.dim * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"key 'run.batch' gives a node {rows} samples of dimension "
+                              f"{model.dim}, more than one numpy array can hold")
     radius = spec.run["radius"]
     if radius == "auto":
         radius = 2.0 * math.sqrt(model.dim) if model.kind == "linear_regression" else 10.0
@@ -436,6 +442,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
     paired = spec.output["paired"]
     summary, compare = [], []
     modes = ("amb", "fmb") if paired else (spec.mode,)
+    if paired and spec.run["tau"] == 0:
+        raise ConfigError("key 'run.tau' is 0, but a paired run compares the epochs of its "
+                          "two runs; it needs at least 1")
     # A config depends on its seed only through RunConfig.seed, and every run
     # shares one graph and scheme. So each mode and the mixing matrix are
     # built once, and a rejected config leaves no output directory.

@@ -280,24 +280,20 @@ def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
                           batch_sizes: np.ndarray, extra: np.ndarray, streams: _Streams):
     """Draw each node's samples, average gradients, and record loss sums.
 
-    Gradient rows of nodes without a batch stay zero.
+    Each node with work gets one draw and one ``loss_and_grad`` pass over its
+    b_i + a_i samples. Gradient rows of nodes without a batch stay zero.
     """
     n = config.graph.n
     model = config.objective
     grads = np.zeros_like(state.primal)
     loss_b = np.zeros(n)
     loss_c = np.zeros(n)
-    for i in range(n):
-        want = batch_sizes[i] + extra[i]
-        if want == 0:
-            continue
-        x, y = model.draw(i, t, int(want), streams.lanes(i, t))
-        w = state.primal[i]
-        losses = model.loss_batch(w, x, y)
-        loss_b[i] = float(np.sum(losses[: batch_sizes[i]]))
-        loss_c[i] = float(np.sum(losses))
-        if batch_sizes[i] > 0:
-            grads[i] = model.grad_mean(w, x[: batch_sizes[i]], y[: batch_sizes[i]])
+    for i in np.flatnonzero(batch_sizes + extra).tolist():
+        b = int(batch_sizes[i])
+        x, y = model.draw(i, t, b + int(extra[i]), streams.lanes(i, t))
+        losses, grads[i] = model.loss_and_grad(state.primal[i], x, y, b)
+        loss_b[i] = float(np.add.reduce(losses[:b]))
+        loss_c[i] = float(np.add.reduce(losses))
     return grads, loss_b, loss_c
 
 

@@ -7,9 +7,9 @@ how many are requested. ``draw(node, epoch, count, lanes)`` takes the
 stream's generators from ``lanes(k)``, the generator of
 ``(SAMPLES, node, epoch, k)``; without ``lanes`` it addresses them itself.
 
-All batch reductions use elementwise products followed by numpy's
-pairwise sums (no BLAS), so results are bit-stable across hosts with
-different threading configurations.
+All batch reductions use elementwise products followed by numpy sums (no
+BLAS): pairwise along a row, in row order down a column. So results are
+bit-stable across hosts with different threading configurations.
 """
 
 from __future__ import annotations
@@ -111,13 +111,21 @@ class LinearRegressionObjective:
         x = np.asarray(x, dtype=float)
         return (float((x * w).sum()) - float(y)) * x
 
-    def loss_batch(self, w, x, y) -> np.ndarray:
+    def loss_and_grad(self, w, x, y, count: int):
+        """Per-row losses of every row, and the mean gradient of the first ``count`` rows.
+
+        The residual is computed once. The mean is ``np.mean``'s sum-then-divide,
+        and the gradient is zero when ``count`` is 0.
+        """
         residual = (x * w).sum(axis=1) - y
-        return 0.5 * residual * residual
+        grad = np.add.reduce(x[:count] * residual[:count, None], axis=0) / max(count, 1)
+        return 0.5 * residual * residual, grad
+
+    def loss_batch(self, w, x, y) -> np.ndarray:
+        return self.loss_and_grad(w, x, y, 0)[0]
 
     def grad_mean(self, w, x, y) -> np.ndarray:
-        residual = (x * w).sum(axis=1) - y
-        return np.mean(x * residual[:, None], axis=0)
+        return self.loss_and_grad(w, x, y, len(x))[1]
 
 
 class MulticlassLogisticObjective:
@@ -210,16 +218,23 @@ class MulticlassLogisticObjective:
         probs[int(y)] -= 1.0
         return (probs[:, None] * x[None, :]).reshape(self.dim)
 
-    def loss_batch(self, w, x, y) -> np.ndarray:
+    def loss_and_grad(self, w, x, y, count: int):
+        """Per-row losses of every row, and the mean gradient of the first ``count`` rows.
+
+        The log-probabilities are computed once; see the linear model.
+        """
         weights = np.asarray(w, dtype=float).reshape(self.classes, self.feat_dim)
         log_probs = self._log_probs(weights, x)
-        return -log_probs[np.arange(x.shape[0]), y]
+        probs = np.exp(log_probs[:count])
+        probs[np.arange(count), y[:count]] -= 1.0
+        grad = np.add.reduce(probs[:, :, None] * x[:count, None, :], axis=0) / max(count, 1)
+        return -log_probs[np.arange(x.shape[0]), y], grad.reshape(self.dim)
+
+    def loss_batch(self, w, x, y) -> np.ndarray:
+        return self.loss_and_grad(w, x, y, 0)[0]
 
     def grad_mean(self, w, x, y) -> np.ndarray:
-        weights = np.asarray(w, dtype=float).reshape(self.classes, self.feat_dim)
-        probs = np.exp(self._log_probs(weights, x))
-        probs[np.arange(x.shape[0]), y] -= 1.0
-        return (probs[:, :, None] * x[:, None, :]).mean(axis=0).reshape(self.dim)
+        return self.loss_and_grad(w, x, y, len(x))[1]
 
 
 def make_linear_regression(dim: int, noise_var: float, seed: int) -> LinearRegressionObjective:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,6 +200,10 @@ class TraceTiming(_LinearProgress):
 
     def mean_batch_time(self) -> float:
         return float(np.mean([t for times in self.table for t in times]))
+
+    def mean_window_batch(self, window: float, n: int) -> float:
+        """Only the first ``n`` trace nodes run; a trace may list more."""
+        return _LinearProgress.mean_window_batch(replace(self, table=self.table[:n]), window, n)
 
     def completion_stats(self, counts) -> tuple:
         """Population mean and std of the per-node time; node i runs ``counts[i]`` gradients.

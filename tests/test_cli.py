@@ -419,6 +419,8 @@ class TestSubcommands:
         pytest.param("run.batch", 10**300, {"mode": "fmb"}, id="run.batch-10**300"),
         pytest.param("run.batch", 2**63, {"mode": "fmb"}, id="run.batch-2**63"),
         ("output.seeds", [], {}),
+        pytest.param("run.batch", 2**62, {"mode": "fmb"}, id="run.batch-2**62"),
+        pytest.param("run.batch", None, {"mode": "fmb"}, id="run.batch-None"),
     ])
     def test_invalid_values_name_the_key(self, tmp_path, capsys, key, value, sections):
         path = full_config(tmp_path, tmp_path / "out", **sections)
@@ -432,6 +434,15 @@ class TestSubcommands:
         assert cli.main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, output", [("compare", {}), ("run", {"paired": True})])
+    def test_a_paired_run_needs_an_epoch(self, tmp_path, capsys, command, output):
+        path = paused_config(tmp_path, tmp_path / "out", run={"tau": 0}, output=output)
+        assert cli.main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "run.tau" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

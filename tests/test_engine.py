@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ambsim import dualavg, engine, objectives, timing, topology
+from test_objectives import oracle_grad_mean, oracle_loss_batch
 from test_topology import random_connected_graph
 
 
@@ -192,6 +193,42 @@ class TestConsensus:
         record = trace.records[0]
         assert record.batch_sizes[0] == 0 and record.batch_sizes[2] == 2
         assert record.degenerate_nodes == 1
+
+
+class TestGradientsAndLosses:
+    @pytest.mark.parametrize("model", [
+        objectives.make_linear_regression(6, 1e-2, seed=3),
+        objectives.make_logistic_regression(3, 4, seed=5),
+    ])
+    def test_one_pass_per_node_matches_separate_passes_bit_for_bit(self, model):
+        # Node 1 has b = 0 < a, and nodes 3 and 7 have b = a = 0.
+        cfg = small_config(objective=model)
+        b = np.array([5, 0, 1, 0, 12, 3, 40, 0, 2, 9])
+        a = np.array([2, 4, 0, 0, 3, 0, 7, 0, 1, 30])
+        rng = np.random.default_rng(4)
+        state = engine.EngineState(primal=rng.standard_normal((10, model.dim)),
+                                   dual=np.zeros((10, model.dim)), wall=0.0)
+        t = 3
+        streams = engine._Streams(cfg, 1, 4)
+        grads, loss_b, loss_c = engine._gradients_and_losses(cfg, state, t, b, a, streams)
+        # The per-node loop that the single pass replaced, with the separate
+        # loss and gradient passes as the oracle.
+        want_grads = np.zeros_like(state.primal)
+        want_b, want_c = np.zeros(10), np.zeros(10)
+        for i in range(10):
+            if b[i] + a[i] == 0:
+                continue
+            x, y = model.draw(i, t, int(b[i] + a[i]), streams.lanes(i, t))
+            w = state.primal[i]
+            losses = oracle_loss_batch(model, w, x, y)
+            want_b[i] = float(np.sum(losses[: b[i]]))
+            want_c[i] = float(np.sum(losses))
+            if b[i] > 0:
+                want_grads[i] = oracle_grad_mean(model, w, x[: b[i]], y[: b[i]])
+        assert grads.tobytes() == want_grads.tobytes()
+        assert loss_b.tobytes() == want_b.tobytes()
+        assert loss_c.tobytes() == want_c.tobytes()
+        assert not grads[[1, 3, 7]].any() and not loss_c[[3, 7]].any()
 
 
 class TestWallClock:

@@ -20,6 +20,27 @@ def central_difference(model, w, x, y, rel_tol=1e-5):
     assert np.linalg.norm(approx - grad) / denom <= rel_tol
 
 
+def oracle_loss_batch(model, w, x, y):
+    """The per-row losses as ``loss_batch`` computed them before ``loss_and_grad``."""
+    if model.kind == "linear_regression":
+        residual = (x * w).sum(axis=1) - y
+        return 0.5 * residual * residual
+    weights = np.asarray(w, dtype=float).reshape(model.classes, model.feat_dim)
+    log_probs = model._log_probs(weights, x)
+    return -log_probs[np.arange(x.shape[0]), y]
+
+
+def oracle_grad_mean(model, w, x, y):
+    """The mean gradient as ``grad_mean`` computed it before ``loss_and_grad``."""
+    if model.kind == "linear_regression":
+        residual = (x * w).sum(axis=1) - y
+        return np.mean(x * residual[:, None], axis=0)
+    weights = np.asarray(w, dtype=float).reshape(model.classes, model.feat_dim)
+    probs = np.exp(model._log_probs(weights, x))
+    probs[np.arange(x.shape[0]), y] -= 1.0
+    return (probs[:, :, None] * x[:, None, :]).mean(axis=0).reshape(model.dim)
+
+
 class TestLinearRegression:
     def test_zero_residual_gradient(self):
         model = objectives.make_linear_regression(8, 0.0, seed=1)
@@ -191,6 +212,27 @@ class TestMinibatchGradient:
             for cls in range(classes):
                 oracle[cls] = np.mean(x * probs[:, cls, None], axis=0)
             assert model.grad_mean(w, x, y).tobytes() == oracle.reshape(-1).tobytes()
+
+    @pytest.mark.parametrize("maker, shapes", [
+        (objectives.make_linear_regression, [(1, 0.2), (2, 0.0), (8, 0.1), (50, 0.3)]),
+        (objectives.make_logistic_regression, [(2, 1), (2, 5), (3, 4), (10, 13)]),
+    ])
+    def test_loss_and_grad_matches_separate_passes_bit_for_bit(self, maker, shapes):
+        # A dim-1 linear model sums its one column pairwise; wider ones add rows in order.
+        rng = np.random.default_rng(3)
+        for args in shapes:
+            model = maker(*args, seed=16)
+            for trial, rows in enumerate((1, 2, 7, 33, 200)):
+                x, y = model.draw(trial, 1, rows)
+                w = rng.standard_normal(model.dim)
+                for count in sorted({0, 1, rows // 2, rows - 1, rows}):
+                    losses, grad = model.loss_and_grad(w, x, y, count)
+                    assert losses.tobytes() == oracle_loss_batch(model, w, x, y).tobytes()
+                    oracle = (oracle_grad_mean(model, w, x[:count], y[:count]) if count
+                              else np.zeros(model.dim))
+                    assert grad.tobytes() == oracle.tobytes()
+                assert model.loss_batch(w, x, y).tobytes() == losses.tobytes()
+                assert model.grad_mean(w, x, y).tobytes() == grad.tobytes()
 
     def test_empty_batch_signals(self):
         model = objectives.make_linear_regression(4, 0.2, seed=14)

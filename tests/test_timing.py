@@ -91,6 +91,14 @@ class TestTraceReplay:
         assert model.batch_time(0, 3, seed=0) == 2.0  # wraps
         assert model.mean_batch_time() == pytest.approx(3.5)
 
+    def test_window_batch_averages_only_the_first_n_nodes(self):
+        # Twelve trace nodes, of which a 10-node graph runs the first 10: their
+        # mean batch time is 2.375, against 2.625 over all twelve (76.19).
+        table = tuple((1.0 + 0.25 * i, 1.5 + 0.25 * i) for i in range(12))
+        model = timing.TraceTiming(table=table, reference_batch=10)
+        assert model.mean_window_batch(2.0, 10) == pytest.approx(10 * 2.0 / 0.2375)
+        assert model.mean_window_batch(2.0, 12) == pytest.approx(12 * 2.0 / 0.2625)
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("node,epoch,seconds\n0,1,2.0\n")
