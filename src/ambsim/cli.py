@@ -328,6 +328,30 @@ def _resolve_schedule(spec, model, graph, tmodel, radius, compute_time, mode) ->
     return dualavg.Schedule(offset=float(offset), work_scale=float(scale))
 
 
+def _check_window_rows(spec: ExperimentSpec, model, window: float, batch_rows: int):
+    """Bound the samples a shifted-exponential node draws in one epoch.
+
+    Besides its ``batch_rows`` fixed-batch samples, a node fits
+    (window + communication time) * reference_batch / batch time gradients
+    in its compute and communication windows, and its batch time is at
+    least ``timing.shift``. With a shift of 0 nothing bounds that count.
+    """
+    span = window + spec.run["communication_time"]
+    shift = spec.timing["shift"]
+    if span == 0:
+        return
+    if shift == 0:
+        raise ConfigError("key 'timing.shift' is 0, so a batch time can be arbitrarily short "
+                          "and nothing bounds the samples a node draws in one window; it must "
+                          "be positive when a compute or communication window is open")
+    # A node draws its samples of one epoch as one float64 array.
+    rows = batch_rows + span * spec.timing["reference_batch"] / shift
+    if rows * model.dim * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"key 'timing.shift' {shift:g} lets a node fit {rows:.3g} gradients "
+                          f"of dimension {model.dim} in one epoch's {span:g} s of windows, more "
+                          f"samples than one numpy array can hold")
+
+
 def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -> engine.RunConfig:
     """Materialize one runnable config, resolving every 'auto' placeholder."""
     mode = mode or spec.mode
@@ -343,6 +367,7 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     if spec.timing["kind"] == "trace" and len(tmodel.table) < graph.n:
         raise ConfigError(f"key 'timing.path' has batch times for {len(tmodel.table)} nodes, "
                           f"but the graph has {graph.n} nodes")
+    rows = 0
     if mode == "fmb":
         if spec.run["batch"] is None:
             raise ConfigError("key 'run.batch' is required in fmb mode")
@@ -357,6 +382,8 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     compute_time = None
     if mode in ("amb", "serial"):
         compute_time = _resolve_compute_time(spec, graph, tmodel)
+    if spec.timing["kind"] == "shifted_exponential":
+        _check_window_rows(spec, model, compute_time or 0.0, rows)
     if spec.timing["kind"] == "grouped_pause":
         # Each window is walked one gradient and pause at a time.
         g = tmodel.base_gradient_time

@@ -10,18 +10,25 @@ global batch size used for normalization. In the update phase every node
 maps its new dual variable to the primal ball, all rows at once.
 
 The two modes differ only in the compute phase, which the timing model's
-``window_epoch`` or ``batch_epoch`` answers for each node, and in when the
-epoch ends. One body runs the rest over (n, d) primal and dual arrays whose
-row i is node i's.
+``window_epoch`` or ``batch_epoch`` answers for all nodes in one call, and
+in when the epoch ends. One body runs the rest over (n, d) primal and dual
+arrays whose row i is node i's.
 
-Gradients are computed for real; only the clock is simulated. A run is a
-pure function of its config, including the seed: per-node work may be
-reordered or parallelized without changing a single output bit because
-every random draw is addressed by (stream, node, epoch), or by its index in
-a block drawn from one such address, and every reduction has a fixed order.
-The run derives the seeds of its hot streams (timing or pauses, samples,
-round counts) for a block of epochs at a time, in one vectorized pass; each
-node-epoch's generator is the one ``seeding.substream`` gives its address.
+Gradients are computed for real; only the clock is simulated. The gradient
+phase scores the nodes with work in chunks of consecutive nodes, at most
+``CHUNK_VALUES`` sample values each: every node's samples are drawn into
+its slice of the chunk, the model's row-wise loss and gradient pass runs
+once per chunk, and each node's gradient mean and loss sums reduce its own
+slice.
+
+A run is a pure function of its config, including the seed: per-node work
+may be reordered, grouped or parallelized without changing a single output
+bit because every random draw is addressed by (stream, node, epoch), or by
+its index in a block drawn from one such address, and every reduction has
+a fixed order over one node's rows. The run derives the seeds of its hot
+streams (timing or pauses, samples, round counts) for a block of epochs at
+a time, in one vectorized pass; each node-epoch's generator is the one
+``seeding.substream`` gives its address.
 """
 
 from __future__ import annotations
@@ -52,6 +59,13 @@ MODES = ("amb", "fmb", "serial")
 # Addresses per stream family in one block of epochs: enough for the seed
 # hash to reach its per-address floor, few enough to keep the tables small.
 BLOCK_ADDRESSES = 4096
+
+# Sample values (rows times the model's dimension) scored together in the
+# gradient phase: enough to spread each row-wise numpy call over many small
+# nodes, few enough that a chunk's arrays, 128 KiB each, stay in a core's
+# cache (an epoch-wide buffer cost about 5 MB of peak memory on a 150-node
+# ring at d = 50).
+CHUNK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -201,28 +215,31 @@ def average_consensus(matrix: ConsensusMatrix, values: np.ndarray, rounds: int) 
 class _Streams:
     """The hot streams of epochs ``first..last``, from seeds derived in one pass per family.
 
-    ``timing(node, epoch)`` is the generator of the timing model's stream
-    ``(stream, node, epoch)`` on the run seed (None for a model without
-    one), ``lanes(node, epoch)`` maps k to the generator of
-    ``(SAMPLES, node, epoch, k)`` on the objective seed, and
-    ``rounds(epoch)`` is the generator of ``(ROUNDS, epoch)``. Each equals
-    ``seeding.substream`` of its address bit for bit.
+    ``timing(epoch)`` lists, for nodes 0..n-1, the generator of the timing
+    model's stream ``(stream, node, epoch)`` on the run seed (None for a
+    model without one), ``lanes(nodes, epoch)`` maps k to the list of the
+    generators of ``(SAMPLES, node, epoch, k)`` on the objective seed for
+    each node in ``nodes``, and ``rounds(epoch)`` is the generator of
+    ``(ROUNDS, epoch)``. Each equals ``seeding.substream`` of its address
+    bit for bit.
     """
 
     def __init__(self, config: RunConfig, first: int, last: int):
         n, family = config.graph.n, config.timing.stream
-        self.first = first
+        self.n, self.first = n, first
         self._timing = (None if family is None
                         else seeding.StreamTable(config.seed, family, n, first, last))
         self._samples = seeding.StreamTable(config.objective.seed, seeding.SAMPLES, n,
                                             first, last, lanes=2)
         self._rounds = seeding.seed_words(config.seed, seeding.ROUNDS, np.arange(first, last + 1))
 
-    def timing(self, node: int, epoch: int):
-        return None if self._timing is None else self._timing.generator(node, epoch)
+    def timing(self, epoch: int) -> list:
+        if self._timing is None:
+            return [None] * self.n
+        return self._timing.generators(range(self.n), epoch)
 
-    def lanes(self, node: int, epoch: int):
-        return functools.partial(self._samples.generator, node, epoch)
+    def lanes(self, nodes: list, epoch: int):
+        return functools.partial(self._samples.generators, nodes, epoch)
 
     def rounds(self, epoch: int) -> np.random.Generator:
         return seeding.generator(self._rounds[epoch - self.first])
@@ -258,14 +275,7 @@ def init_state(config: RunConfig) -> EngineState:
 
 def _compute_phase(config: RunConfig, t: int, streams: _Streams):
     """Per-node (b_i, a_i, T_i) of an anytime epoch, from the timing model's ``window_epoch``."""
-    n = config.graph.n
-    b = np.zeros(n, dtype=int)
-    a = np.zeros(n, dtype=int)
-    times = np.zeros(n)
-    for i in range(n):
-        b[i], a[i], times[i] = config.timing.window_epoch(i, t, streams.timing(i, t),
-                                                          config.compute_time, config.comm_time)
-    return b, a, times
+    return config.timing.window_epoch(t, streams.timing(t), config.compute_time, config.comm_time)
 
 
 def _fmb_batches(batch: int, n: int) -> np.ndarray:
@@ -276,24 +286,63 @@ def _fmb_batches(batch: int, n: int) -> np.ndarray:
     return sizes
 
 
+def _chunks(counts: list, cap: int):
+    """The nodes with work, in order, cut into runs of at most ``cap`` rows.
+
+    A node with more rows than the cap forms a run alone.
+    """
+    chunk, rows = [], 0
+    for node, count in enumerate(counts):
+        if not count:
+            continue
+        if chunk and rows + count > cap:
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append(node)
+        rows += count
+    if chunk:
+        yield chunk
+
+
 def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
                           batch_sizes: np.ndarray, extra: np.ndarray, streams: _Streams):
     """Draw each node's samples, average gradients, and record loss sums.
 
-    Each node with work gets one draw and one ``loss_and_grad`` pass over its
-    b_i + a_i samples. Gradient rows of nodes without a batch stay zero.
+    The nodes with work are scored a chunk at a time (see :func:`_chunks`).
+    Each node's b_i + a_i samples are drawn into its slice of the chunk, and
+    the model's row-wise pass runs once over the chunk, with each node's
+    primal row repeated over its rows. Each node's gradient mean and loss
+    sums then reduce its own rows alone, so every bit is that of a pass
+    over the node's samples on their own. Gradient rows of nodes without a
+    batch stay zero.
     """
     n = config.graph.n
     model = config.objective
     grads = np.zeros_like(state.primal)
     loss_b = np.zeros(n)
     loss_c = np.zeros(n)
-    for i in np.flatnonzero(batch_sizes + extra).tolist():
-        b = int(batch_sizes[i])
-        x, y = model.draw(i, t, b + int(extra[i]), streams.lanes(i, t))
-        losses, grads[i] = model.loss_and_grad(state.primal[i], x, y, b)
-        loss_b[i] = float(np.add.reduce(losses[:b]))
-        loss_c[i] = float(np.add.reduce(losses))
+    counts, batches = (batch_sizes + extra).tolist(), batch_sizes.tolist()
+    for nodes in _chunks(counts, max(1, CHUNK_VALUES // model.dim)):
+        sizes, batch = [counts[i] for i in nodes], [batches[i] for i in nodes]
+        x, y = model.draw_rows(sizes, streams.lanes(nodes, t))
+        if len(nodes) == 1:
+            # One node's rows share its primal row, and only its batch rows need gradients.
+            w, wanted = state.primal[nodes[0]], batch[0]
+        else:
+            w, wanted = np.repeat(state.primal[nodes], sizes, 0), len(x)
+        losses, rows = model.loss_and_grad_rows(w, x, y, wanted)
+        sums = grads.reshape(n, *rows.shape[1:])
+        end = 0
+        for i, count, b in zip(nodes, sizes, batch):
+            start, end = end, end + count
+            if b:
+                np.add.reduce(rows[start:start + b], axis=0, out=sums[i])
+                loss_b[i] = np.add.reduce(losses[start:start + b])
+            # Without extra capacity both loss sums cover the same rows.
+            loss_c[i] = loss_b[i] if b == count else np.add.reduce(losses[start:end])
+        # Free this chunk's arrays before the next chunk allocates its own.
+        del x, y, w, losses, rows, sums
+    grads /= np.maximum(batch_sizes, 1)[:, None]
     return grads, loss_b, loss_c
 
 
@@ -378,14 +427,8 @@ def run_fmb_epoch(state: EngineState, config: RunConfig, t: int, streams: _Strea
 
     ``streams`` is as in :func:`run_amb_epoch`.
     """
-    n = config.graph.n
-    b = _fmb_batches(config.batch, n)
-    durations = np.zeros(n)
-    a = np.zeros(n, dtype=int)
-    times = np.zeros(n)
-    for i in range(n):
-        durations[i], a[i], times[i] = config.timing.batch_epoch(i, t, streams.timing(i, t),
-                                                                 int(b[i]), config.comm_time)
+    b = _fmb_batches(config.batch, config.graph.n)
+    durations, a, times = config.timing.batch_epoch(t, streams.timing(t), b, config.comm_time)
     compute = float(durations.max())
     return _epoch(state, config, t, streams, b, a, times, compute,
                   state.wall + compute + config.comm_time)

@@ -6,6 +6,10 @@ generator state and the first ``k`` samples of a stream do not depend on
 how many are requested. ``draw(node, epoch, count, lanes)`` takes the
 stream's generators from ``lanes(k)``, the generator of
 ``(SAMPLES, node, epoch, k)``; without ``lanes`` it addresses them itself.
+``draw_rows(counts, lanes)`` draws several such streams into one array,
+each into its own slice, and ``loss_and_grad_rows`` scores such an array
+row by row against one weight vector per row, which is how the engine
+scores many nodes at once.
 
 All batch reductions use elementwise products followed by numpy sums (no
 BLAS): pairwise along a row, in row order down a column. So results are
@@ -37,6 +41,15 @@ __all__ = [
 ]
 
 
+def _normals_into(out: np.ndarray, counts, rngs) -> np.ndarray:
+    """Stream j's first standard normals into slice j of ``out``; slice j has ``counts[j]`` rows."""
+    end = 0
+    for count, rng in zip(counts, rngs):
+        start, end = end, end + count
+        rng.standard_normal(out=out[start:end])
+    return out
+
+
 def _sample_lanes(seed: int, node: int, epoch: int):
     """``lane -> substream(seed, SAMPLES, node, epoch, lane)``."""
     return functools.partial(seeding.substream, seed, seeding.SAMPLES, node, epoch)
@@ -55,7 +68,24 @@ class EstimatedConstants:
     radius: float
 
 
-class LinearRegressionObjective:
+class _RowModel:
+    """The calls both models build on their ``draw_rows`` and ``loss_and_grad_rows``."""
+
+    def draw_with(self, rng_a, rng_b, count: int):
+        """First ``count`` samples of one stream whose lanes 0 and 1 are ``rng_a`` and ``rng_b``."""
+        return self.draw_rows([count], lambda k: [(rng_a, rng_b)[k]])
+
+    def loss_and_grad(self, w, x, y, count: int):
+        """Per-row losses of every row, and the mean gradient of the first ``count`` rows.
+
+        The mean is ``np.mean``'s sum-then-divide, and the gradient is zero
+        when ``count`` is 0.
+        """
+        losses, rows = self.loss_and_grad_rows(w, x, y, count)
+        return losses, np.add.reduce(rows, axis=0).reshape(self.dim) / max(count, 1)
+
+
+class LinearRegressionObjective(_RowModel):
     """Least-squares streaming regression against a hidden parameter vector.
 
     The hidden target is drawn from a standard normal; features are
@@ -81,20 +111,24 @@ class LinearRegressionObjective:
     def optimum_value(self) -> float:
         return self.noise_var / 2.0
 
-    def draw_with(self, rng_features, rng_noise, count: int):
-        x = rng_features.standard_normal((count, self.dim))
+    def draw_rows(self, counts, lanes):
+        """The first ``counts[j]`` samples of stream j, for each j, one stream after another.
+
+        ``lanes(k)`` lists the lane-k generators of the streams. Features come
+        from lane 0 and label noise from lane 1; a noise-free model never
+        builds lane 1.
+        """
+        x = _normals_into(np.empty((sum(counts), self.dim)), counts, lanes(0))
         labels = (x * self.w_star).sum(axis=1)
         if self.noise_var > 0:
-            if callable(rng_noise):
-                rng_noise = rng_noise()
-            labels = labels + math.sqrt(self.noise_var) * rng_noise.standard_normal(count)
+            noise = _normals_into(np.empty(len(x)), counts, lanes(1))
+            labels = labels + math.sqrt(self.noise_var) * noise
         return x, labels
 
     def draw(self, node: int, epoch: int, count: int, lanes=None):
         """First ``count`` samples of the (node, epoch) stream."""
         lanes = lanes or _sample_lanes(self.seed, node, epoch)
-        # The noise stream is materialized lazily; noise-free models skip it.
-        return self.draw_with(lanes(0), lambda: lanes(1), count)
+        return self.draw_rows([count], lambda k: [lanes(k)])
 
     def holdout(self, count: int):
         return self.draw_with(
@@ -111,15 +145,13 @@ class LinearRegressionObjective:
         x = np.asarray(x, dtype=float)
         return (float((x * w).sum()) - float(y)) * x
 
-    def loss_and_grad(self, w, x, y, count: int):
-        """Per-row losses of every row, and the mean gradient of the first ``count`` rows.
+    def loss_and_grad_rows(self, w, x, y, count: int):
+        """Per-row losses of every row, and the per-row gradients of the first ``count`` rows.
 
-        The residual is computed once. The mean is ``np.mean``'s sum-then-divide,
-        and the gradient is zero when ``count`` is 0.
+        ``w`` is one weight vector, or one per row. The residual is computed once.
         """
         residual = (x * w).sum(axis=1) - y
-        grad = np.add.reduce(x[:count] * residual[:count, None], axis=0) / max(count, 1)
-        return 0.5 * residual * residual, grad
+        return 0.5 * residual * residual, x[:count] * residual[:count, None]
 
     def loss_batch(self, w, x, y) -> np.ndarray:
         return self.loss_and_grad(w, x, y, 0)[0]
@@ -128,7 +160,7 @@ class LinearRegressionObjective:
         return self.loss_and_grad(w, x, y, len(x))[1]
 
 
-class MulticlassLogisticObjective:
+class MulticlassLogisticObjective(_RowModel):
     """Softmax cross-entropy over flattened class-by-feature weights.
 
     The primal variable has dimension ``classes * feat_dim``; row ``i`` of
@@ -171,20 +203,27 @@ class MulticlassLogisticObjective:
 
     optimum_value = None
 
-    def draw_with(self, rng_labels, rng_features, count: int):
+    def draw_rows(self, counts, lanes):
+        """The first ``counts[j]`` samples of stream j, for each j, one stream after another.
+
+        ``lanes(k)`` lists the lane-k generators of the streams. Lane 0 picks
+        the labels, or the rows of a preloaded data set; lane 1 gives the
+        synthetic features' noise, and a data set never builds it.
+        """
+        high = self.classes if self.data is None else len(self.data[1])
+        picks = np.concatenate([rng.integers(0, high, size=count)
+                                for count, rng in zip(counts, lanes(0))])
         if self.data is not None:
             features, labels = self.data
-            idx = rng_labels.integers(0, features.shape[0], size=count)
-            return features[idx], labels[idx]
-        labels = rng_labels.integers(0, self.classes, size=count)
-        noise = rng_features.standard_normal((count, self.feat_dim - 1))
-        x = np.ones((count, self.feat_dim))
-        x[:, : self.feat_dim - 1] = self.centers[labels] + noise
-        return x, labels
+            return features[picks], labels[picks]
+        noise = _normals_into(np.empty((len(picks), self.feat_dim - 1)), counts, lanes(1))
+        x = np.ones((len(picks), self.feat_dim))
+        np.add(self.centers[picks], noise, out=x[:, : self.feat_dim - 1])
+        return x, picks
 
     def draw(self, node: int, epoch: int, count: int, lanes=None):
         lanes = lanes or _sample_lanes(self.seed, node, epoch)
-        return self.draw_with(lanes(0), lanes(1), count)
+        return self.draw_rows([count], lambda k: [lanes(k)])
 
     def holdout(self, count: int):
         return self.draw_with(
@@ -194,18 +233,22 @@ class MulticlassLogisticObjective:
         )
 
     def _logits(self, weights, x) -> np.ndarray:
-        k = x.shape[0]
-        logits = np.empty((k, self.classes))
+        """Row k's class scores under ``weights``, shaped (classes, feat_dim) or one such per row.
+
+        One product buffer serves every class.
+        """
+        logits = np.empty((x.shape[0], self.classes))
+        products = np.empty_like(x)
         for cls in range(self.classes):
-            logits[:, cls] = (x * weights[cls]).sum(axis=1)
+            np.multiply(x, weights[..., cls, :], out=products)
+            np.add.reduce(products, axis=1, out=logits[:, cls])
         return logits
 
     def _log_probs(self, weights, x) -> np.ndarray:
-        logits = self._logits(weights, x)
-        shift = logits.max(axis=1, keepdims=True)
-        stable = logits - shift
-        log_norm = np.log(np.exp(stable).sum(axis=1, keepdims=True))
-        return stable - log_norm
+        log_probs = self._logits(weights, x)
+        log_probs -= log_probs.max(axis=1, keepdims=True)
+        log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+        return log_probs
 
     def sample_loss(self, w, x, y) -> float:
         weights = np.asarray(w, dtype=float).reshape(self.classes, self.feat_dim)
@@ -218,17 +261,19 @@ class MulticlassLogisticObjective:
         probs[int(y)] -= 1.0
         return (probs[:, None] * x[None, :]).reshape(self.dim)
 
-    def loss_and_grad(self, w, x, y, count: int):
-        """Per-row losses of every row, and the mean gradient of the first ``count`` rows.
+    def loss_and_grad_rows(self, w, x, y, count: int):
+        """Per-row losses of every row, and the per-row (classes, feat_dim) gradients of the
+        first ``count`` rows.
 
-        The log-probabilities are computed once; see the linear model.
+        ``w`` is one weight vector, or one per row. The log-probabilities are
+        computed once.
         """
-        weights = np.asarray(w, dtype=float).reshape(self.classes, self.feat_dim)
+        w = np.asarray(w, dtype=float)
+        weights = w.reshape(*w.shape[:-1], self.classes, self.feat_dim)
         log_probs = self._log_probs(weights, x)
         probs = np.exp(log_probs[:count])
         probs[np.arange(count), y[:count]] -= 1.0
-        grad = np.add.reduce(probs[:, :, None] * x[:count, None, :], axis=0) / max(count, 1)
-        return -log_probs[np.arange(x.shape[0]), y], grad.reshape(self.dim)
+        return -log_probs[np.arange(x.shape[0]), y], probs[:, :, None] * x[:count, None, :]
 
     def loss_batch(self, w, x, y) -> np.ndarray:
         return self.loss_and_grad(w, x, y, 0)[0]

@@ -143,8 +143,9 @@ class StreamTable:
 
     The table covers nodes ``0..n-1``, epochs ``first..last`` and, when
     ``lanes`` is positive, lanes ``0..lanes-1``, in 32 bytes per address.
-    ``generator(node, epoch, *lane)`` equals
-    ``substream(seed, family, node, epoch, *lane)`` bit for bit.
+    ``generators(nodes, epoch, *lane)`` lists, for each node in ``nodes``,
+    the generator that equals ``substream(seed, family, node, epoch, *lane)``
+    bit for bit.
     """
 
     def __init__(self, seed: int, family: int, n: int, first: int, last: int, lanes: int = 0):
@@ -154,5 +155,6 @@ class StreamTable:
         self.first = first
         self.words = seed_words(seed, *path)
 
-    def generator(self, node: int, epoch: int, *lane: int) -> np.random.Generator:
-        return generator(self.words[(*lane, epoch - self.first, node)])
+    def generators(self, nodes, epoch: int, *lane: int) -> list:
+        words = self.words[(*lane, epoch - self.first)]
+        return [generator(words[node]) for node in nodes]

@@ -3,13 +3,14 @@
 Every model answers the same three calls, which are all the engine and
 the CLI know of timing:
 
-- ``window_epoch(node, epoch, rng, window, comm_time)`` returns
-  ``(b_i, a_i, T_i)`` for an anytime epoch: the gradients finished inside
-  the compute window, the gradients the node could finish during the
-  communication time that follows, and the time the node records.
-- ``batch_epoch(node, epoch, rng, count, comm_time)`` returns
-  ``(duration, a_i, T_i)`` for a fixed-batch epoch: the time to finish
-  ``count`` gradients, then a_i and T_i as above.
+- ``window_epoch(epoch, rngs, window, comm_time)`` returns the arrays
+  ``(b, a, T)`` of an anytime epoch over nodes ``0..len(rngs)-1``: node
+  i's gradients finished inside the compute window, the gradients it could
+  finish during the communication time that follows, and the time it
+  records.
+- ``batch_epoch(epoch, rngs, counts, comm_time)`` returns the arrays
+  ``(duration, a, T)`` of a fixed-batch epoch: node i's time to finish
+  ``counts[i]`` gradients, then a_i and T_i as above.
 - ``mean_window_batch(window, n)`` is the expected global batch of an
   anytime epoch on nodes ``0..n-1``; it sets the ``"auto"`` work scale.
 
@@ -18,13 +19,14 @@ deterministic, trace replay) describe the time to finish a reference
 batch; the time for one gradient is that batch time divided by the
 reference batch size, and k gradients take k times as long, with k free
 to exceed the reference. They draw one batch time per (node, epoch), which
-is T_i, and answer in closed form. The grouped-pause model instead charges
-a fixed time per gradient plus a random pause after each one, drawn per
-group; T_i is the node's realized busy time.
+is T_i, and answer for all nodes at once, elementwise over the vector of
+T_i. The grouped-pause model instead charges a fixed time per gradient plus
+a random pause after each one, drawn per group; T_i is the node's realized
+busy time, and each node's windows are walked in turn.
 
 A model's ``stream`` names the seed-tree family it draws from, or is None
-for a model that draws nothing. ``rng`` is then the generator of stream
-``(stream, node, epoch)`` on the run seed, which the caller derives (the
+for a model that draws nothing. ``rngs[i]`` is then the generator of stream
+``(stream, i, epoch)`` on the run seed, which the caller derives (the
 engine from a table of seeds, one pass per block of epochs), and None for
 a model without a stream. ``batch_time``, ``pauses`` and the other
 seed-taking calls address the same stream themselves through
@@ -67,6 +69,15 @@ def _clipped_normal_moments(mean: float, var: float):
     return first, max(0.0, second - first * first)
 
 
+def _whole_gradients(spans, per_grad: np.ndarray) -> np.ndarray:
+    """Row k: the gradients of ``per_grad`` seconds each that finish within ``spans[k]`` seconds."""
+    counts = np.floor(np.divide.outer(spans, per_grad))
+    if not counts.max() < 2.0**63:
+        raise ValueError(f"{max(spans):g} s fits {counts.max():.3g} gradients of "
+                         f"{per_grad.min():g} s; a count must fit in int64")
+    return counts.astype(int)
+
+
 class _LinearProgress:
     """The timing protocol in closed form, from one batch time per (node, epoch).
 
@@ -80,19 +91,21 @@ class _LinearProgress:
     def batch_time(self, node: int, epoch: int, seed: int) -> float:
         return self.draw_batch_time(node, epoch, None)
 
-    def per_gradient_time(self, batch_time: float) -> float:
+    def per_gradient_time(self, batch_time):
         return batch_time / self.reference_batch
 
-    def window_epoch(self, node: int, epoch: int, rng, window: float, comm_time: float):
-        batch_time = self.draw_batch_time(node, epoch, rng)
-        per_grad = self.per_gradient_time(batch_time)
-        return (int(math.floor(window / per_grad)), int(math.floor(comm_time / per_grad)),
-                batch_time)
+    def _batch_times(self, epoch: int, rngs) -> np.ndarray:
+        return np.array([self.draw_batch_time(node, epoch, rng) for node, rng in enumerate(rngs)])
 
-    def batch_epoch(self, node: int, epoch: int, rng, count: int, comm_time: float):
-        batch_time = self.draw_batch_time(node, epoch, rng)
-        per_grad = self.per_gradient_time(batch_time)
-        return count * per_grad, int(math.floor(comm_time / per_grad)), batch_time
+    def window_epoch(self, epoch: int, rngs, window: float, comm_time: float):
+        batch_times = self._batch_times(epoch, rngs)
+        b, a = _whole_gradients((window, comm_time), self.per_gradient_time(batch_times))
+        return b, a, batch_times
+
+    def batch_epoch(self, epoch: int, rngs, counts, comm_time: float):
+        batch_times = self._batch_times(epoch, rngs)
+        per_grad = self.per_gradient_time(batch_times)
+        return counts * per_grad, _whole_gradients((comm_time,), per_grad)[0], batch_times
 
     def mean_window_batch(self, window: float, n: int) -> float:
         per_grad = self.mean_batch_time() / self.reference_batch
@@ -128,9 +141,10 @@ class ShiftedExponential(_LinearProgress):
     def draw_batch_time(self, node: int, epoch: int, rng) -> float:
         return self.shift + rng.exponential(1.0 / self.rate)
 
-    def per_gradient_time(self, batch_time: float) -> float:
-        if batch_time <= 0:
-            raise ValueError(f"batch time must be positive, got {batch_time}")
+    def per_gradient_time(self, batch_time):
+        """``batch_time / reference_batch``, elementwise; a batch time of 0 (shift 0) is rejected."""
+        if not np.min(batch_time) > 0:
+            raise ValueError(f"batch time must be positive, got {np.min(batch_time)}")
         return batch_time / self.reference_batch
 
     def mean_batch_time(self) -> float:
@@ -390,18 +404,24 @@ class GroupedPauseTiming:
         end = start_index + count - 1
         return self._busy(count, self.pauses(node, epoch, seed, end)[start_index:].tolist()), end
 
-    def window_epoch(self, node: int, epoch: int, rng, window: float, comm_time: float):
-        """``(b_i, a_i, T_i)``: the communication window continues the compute window's pauses."""
-        draw, block = self._pause_stream(node, rng), []
-        count, busy, nxt = self._walk(window, block, 0, draw)
-        return count, self._walk(comm_time, block, nxt, draw)[0], busy
+    def window_epoch(self, epoch: int, rngs, window: float, comm_time: float):
+        """``(b, a, T)``: each node's communication window continues its compute window's pauses."""
+        rows = []
+        for node, rng in enumerate(rngs):
+            draw, block = self._pause_stream(node, rng), []
+            count, busy, nxt = self._walk(window, block, 0, draw)
+            rows.append((count, self._walk(comm_time, block, nxt, draw)[0], busy))
+        return tuple(map(np.array, zip(*rows)))
 
-    def batch_epoch(self, node: int, epoch: int, rng, count: int, comm_time: float):
-        """``(duration, a_i, T_i)``; T_i is the duration."""
-        draw = self._pause_stream(node, rng)
-        block = draw(max(count - 1, 0)).tolist()
-        busy = self._busy(count, block)
-        return busy, self._walk(comm_time, block, len(block), draw)[0], busy
+    def batch_epoch(self, epoch: int, rngs, counts, comm_time: float):
+        """``(duration, a, T)``; T_i is node i's duration."""
+        rows = []
+        for node, (rng, count) in enumerate(zip(rngs, counts.tolist())):
+            draw = self._pause_stream(node, rng)
+            block = draw(max(count - 1, 0)).tolist()
+            busy = self._busy(count, block)
+            rows.append((busy, self._walk(comm_time, block, len(block), draw)[0], busy))
+        return tuple(map(np.array, zip(*rows)))
 
     def mean_window_batch(self, window: float, n: int) -> float:
         """Sum over nodes of the window divided by the mean time per gradient and pause."""

@@ -421,6 +421,9 @@ class TestSubcommands:
         ("output.seeds", [], {}),
         pytest.param("run.batch", 2**62, {"mode": "fmb"}, id="run.batch-2**62"),
         pytest.param("run.batch", None, {"mode": "fmb"}, id="run.batch-None"),
+        pytest.param("timing.shift", 0, {}, id="timing.shift-0-amb"),
+        pytest.param("timing.shift", 0, {"mode": "fmb"}, id="timing.shift-0-fmb"),
+        pytest.param("timing.shift", 1e-300, {}, id="timing.shift-1e-300"),
     ])
     def test_invalid_values_name_the_key(self, tmp_path, capsys, key, value, sections):
         path = full_config(tmp_path, tmp_path / "out", **sections)

@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from ambsim import dualavg, engine, objectives, timing, topology
-from test_objectives import oracle_grad_mean, oracle_loss_batch
+from ambsim import dualavg, engine, objectives, seeding, timing, topology
+from test_objectives import oracle_draw, oracle_grad_mean, oracle_loss_batch
 from test_topology import random_connected_graph
 
 
@@ -195,30 +196,48 @@ class TestConsensus:
         assert record.degenerate_nodes == 1
 
 
+def csv_softmax(tmp_path):
+    rows = np.random.default_rng(8).integers(0, 256, (30, 5))
+    path = tmp_path / "labeled.csv"
+    path.write_text("".join(f"{i % 3}," + ",".join(map(str, r)) + "\n" for i, r in enumerate(rows)))
+    return objectives.make_logistic_regression(3, 6, seed=5, csv_path=path)
+
+
 class TestGradientsAndLosses:
-    @pytest.mark.parametrize("model", [
-        objectives.make_linear_regression(6, 1e-2, seed=3),
-        objectives.make_logistic_regression(3, 4, seed=5),
-    ])
-    def test_one_pass_per_node_matches_separate_passes_bit_for_bit(self, model):
-        # Node 1 has b = 0 < a, and nodes 3 and 7 have b = a = 0.
-        cfg = small_config(objective=model)
-        b = np.array([5, 0, 1, 0, 12, 3, 40, 0, 2, 9])
-        a = np.array([2, 4, 0, 0, 3, 0, 7, 0, 1, 30])
+    @pytest.mark.parametrize("make_model", [
+        lambda tmp: objectives.make_linear_regression(6, 1e-2, seed=3),
+        lambda tmp: objectives.make_logistic_regression(3, 4, seed=5),
+        lambda tmp: objectives.make_linear_regression(1, 0.3, seed=3),
+        lambda tmp: objectives.make_linear_regression(5, 0.0, seed=3),
+        csv_softmax,
+    ], ids=["model0", "model1", "linear-d1", "linear-noise-free", "softmax-csv"])
+    def test_one_pass_per_node_matches_separate_passes_bit_for_bit(self, make_model, tmp_path):
+        # The chunked pass against the per-node loop it replaced, with the
+        # separate draw, loss and gradient passes as the oracle. Node 1 has
+        # b = 0 < a, nodes 3 and 7 have b = a = 0, node 4 has more rows than
+        # a chunk holds, nodes 5 and 6 fill a chunk exactly, and node 12 is
+        # a chunk alone with no batch.
+        model = make_model(tmp_path)
+        cap = engine.CHUNK_VALUES // model.dim
+        b = np.array([5, 0, 1, 0, cap + 3, cap // 2, cap - cap // 2 - 4, 0, 2, 9, 3, 0, 0])
+        a = np.array([2, 4, 0, 0, 4, 2, 2, 0, 1, 30, 0, 7, cap + 1])
+        assert list(engine._chunks((b + a).tolist(), cap)) == [
+            [0, 1, 2], [4], [5, 6], [8, 9, 10, 11], [12]]
+        n = len(b)
+        cfg = small_config(objective=model, graph=topology.ring_graph(n))
         rng = np.random.default_rng(4)
-        state = engine.EngineState(primal=rng.standard_normal((10, model.dim)),
-                                   dual=np.zeros((10, model.dim)), wall=0.0)
+        state = engine.EngineState(primal=rng.standard_normal((n, model.dim)),
+                                   dual=np.zeros((n, model.dim)), wall=0.0)
         t = 3
-        streams = engine._Streams(cfg, 1, 4)
-        grads, loss_b, loss_c = engine._gradients_and_losses(cfg, state, t, b, a, streams)
-        # The per-node loop that the single pass replaced, with the separate
-        # loss and gradient passes as the oracle.
+        grads, loss_b, loss_c = engine._gradients_and_losses(cfg, state, t, b, a,
+                                                             engine._Streams(cfg, 1, 4))
         want_grads = np.zeros_like(state.primal)
-        want_b, want_c = np.zeros(10), np.zeros(10)
-        for i in range(10):
+        want_b, want_c = np.zeros(n), np.zeros(n)
+        for i in range(n):
             if b[i] + a[i] == 0:
                 continue
-            x, y = model.draw(i, t, int(b[i] + a[i]), streams.lanes(i, t))
+            lanes = functools.partial(seeding.substream, model.seed, seeding.SAMPLES, i, t)
+            x, y = oracle_draw(model, lanes, int(b[i] + a[i]))
             w = state.primal[i]
             losses = oracle_loss_batch(model, w, x, y)
             want_b[i] = float(np.sum(losses[: b[i]]))
@@ -228,7 +247,7 @@ class TestGradientsAndLosses:
         assert grads.tobytes() == want_grads.tobytes()
         assert loss_b.tobytes() == want_b.tobytes()
         assert loss_c.tobytes() == want_c.tobytes()
-        assert not grads[[1, 3, 7]].any() and not loss_c[[3, 7]].any()
+        assert not grads[[1, 3, 7, 11, 12]].any() and not loss_c[[3, 7]].any()
 
 
 class TestWallClock:

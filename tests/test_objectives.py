@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ambsim import objectives
+from ambsim import objectives, seeding
 
 
 def central_difference(model, w, x, y, rel_tol=1e-5):
@@ -20,13 +20,41 @@ def central_difference(model, w, x, y, rel_tol=1e-5):
     assert np.linalg.norm(approx - grad) / denom <= rel_tol
 
 
+def oracle_draw(model, lanes, count):
+    """One stream's first ``count`` samples, drawn as one array per lane."""
+    if model.kind == "linear_regression":
+        x = lanes(0).standard_normal((count, model.dim))
+        labels = (x * model.w_star).sum(axis=1)
+        if model.noise_var > 0:
+            labels = labels + math.sqrt(model.noise_var) * lanes(1).standard_normal(count)
+        return x, labels
+    if model.data is not None:
+        features, labels = model.data
+        idx = lanes(0).integers(0, features.shape[0], size=count)
+        return features[idx], labels[idx]
+    labels = lanes(0).integers(0, model.classes, size=count)
+    noise = lanes(1).standard_normal((count, model.feat_dim - 1))
+    x = np.ones((count, model.feat_dim))
+    x[:, : model.feat_dim - 1] = model.centers[labels] + noise
+    return x, labels
+
+
+def oracle_log_probs(model, weights, x):
+    """Softmax log-probabilities from one product per class, with new arrays at each step."""
+    logits = np.empty((x.shape[0], model.classes))
+    for cls in range(model.classes):
+        logits[:, cls] = (x * weights[cls]).sum(axis=1)
+    stable = logits - logits.max(axis=1, keepdims=True)
+    return stable - np.log(np.exp(stable).sum(axis=1, keepdims=True))
+
+
 def oracle_loss_batch(model, w, x, y):
     """The per-row losses as ``loss_batch`` computed them before ``loss_and_grad``."""
     if model.kind == "linear_regression":
         residual = (x * w).sum(axis=1) - y
         return 0.5 * residual * residual
     weights = np.asarray(w, dtype=float).reshape(model.classes, model.feat_dim)
-    log_probs = model._log_probs(weights, x)
+    log_probs = oracle_log_probs(model, weights, x)
     return -log_probs[np.arange(x.shape[0]), y]
 
 
@@ -36,7 +64,7 @@ def oracle_grad_mean(model, w, x, y):
         residual = (x * w).sum(axis=1) - y
         return np.mean(x * residual[:, None], axis=0)
     weights = np.asarray(w, dtype=float).reshape(model.classes, model.feat_dim)
-    probs = np.exp(model._log_probs(weights, x))
+    probs = np.exp(oracle_log_probs(model, weights, x))
     probs[np.arange(x.shape[0]), y] -= 1.0
     return (probs[:, :, None] * x[:, None, :]).mean(axis=0).reshape(model.dim)
 
@@ -233,6 +261,37 @@ class TestMinibatchGradient:
                     assert grad.tobytes() == oracle.tobytes()
                 assert model.loss_batch(w, x, y).tobytes() == losses.tobytes()
                 assert model.grad_mean(w, x, y).tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("model", [
+        objectives.make_linear_regression(1, 0.2, seed=4),
+        objectives.make_linear_regression(7, 0.0, seed=4),
+        objectives.make_linear_regression(30, 0.5, seed=4),
+        objectives.make_logistic_regression(2, 1, seed=4),
+        objectives.make_logistic_regression(4, 6, seed=4),
+        objectives.MulticlassLogisticObjective(
+            3, 5, seed=4, data=(np.random.default_rng(6).random((40, 5)),
+                                np.random.default_rng(7).integers(0, 3, 40))),
+    ], ids=["linear-d1", "linear-noise-free", "linear-d30", "softmax-1-feature",
+            "softmax", "softmax-data"])
+    def test_row_draws_match_one_stream_at_a_time_bit_for_bit(self, model):
+        # Streams of 0, 1 and several rows, drawn into one chunk in order.
+        counts = [3, 0, 1, 17, 64, 2]
+        streams = [(node, 5) for node in range(len(counts))]
+
+        def lanes(node, epoch):
+            return lambda k: seeding.substream(model.seed, seeding.SAMPLES, node, epoch, k)
+
+        x, y = model.draw_rows(counts, lambda k: [lanes(*s)(k) for s in streams])
+        wants = [oracle_draw(model, lanes(*s), c) for s, c in zip(streams, counts)]
+        assert x.tobytes() == np.concatenate([w[0] for w in wants]).tobytes()
+        assert y.tobytes() == np.concatenate([w[1] for w in wants]).tobytes()
+        assert x.dtype == wants[0][0].dtype and y.dtype == wants[0][1].dtype
+        for (node, epoch), count, (want_x, want_y) in zip(streams, counts, wants):
+            got_x, got_y = model.draw(node, epoch, count)
+            assert got_x.tobytes() == want_x.tobytes() and got_y.tobytes() == want_y.tobytes()
+        got_x, got_y = model.draw_with(lanes(0, 5)(0), lanes(0, 5)(1), counts[0])
+        assert got_x.tobytes() == wants[0][0].tobytes()
+        assert got_y.tobytes() == wants[0][1].tobytes()
 
     def test_empty_batch_signals(self):
         model = objectives.make_linear_regression(4, 0.2, seed=14)

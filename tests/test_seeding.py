@@ -23,19 +23,17 @@ class TestSeedWords:
     def test_node_epoch_table_matches_substream(self, seed, family):
         table = seeding.StreamTable(seed, family, 4, 7, 9)
         assert table.words.shape == (3, 4, 4) and table.words.dtype == np.uint64
-        for node in range(4):
-            for epoch in (7, 8, 9):
-                same_stream(table.generator(node, epoch),
-                            seeding.substream(seed, family, node, epoch))
+        for epoch in (7, 8, 9):
+            for node, rng in zip([3, 0, 2, 1], table.generators([3, 0, 2, 1], epoch)):
+                same_stream(rng, seeding.substream(seed, family, node, epoch))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sample_lanes_match_substream(self, seed):
         table = seeding.StreamTable(seed, seeding.SAMPLES, 3, 1, 2, lanes=2)
-        for node in range(3):
-            for epoch in (1, 2):
-                for lane in (0, 1):
-                    same_stream(table.generator(node, epoch, lane),
-                                seeding.substream(seed, seeding.SAMPLES, node, epoch, lane))
+        for epoch in (1, 2):
+            for lane in (0, 1):
+                for node, rng in enumerate(table.generators(range(3), epoch, lane)):
+                    same_stream(rng, seeding.substream(seed, seeding.SAMPLES, node, epoch, lane))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_round_words_and_edge_elements_match_substream(self, seed):
@@ -78,13 +76,16 @@ class TestEngineStreams:
         streams = engine._Streams(cfg, 2, 5)
         for epoch in range(2, 6):
             same_stream(streams.rounds(epoch), seeding.substream(cfg.seed, seeding.ROUNDS, epoch))
+            timing_rngs = streams.timing(epoch)
+            lanes = streams.lanes([4, 0, 2], epoch)
+            assert len(timing_rngs) == 5
             for node in range(5):
-                same_stream(streams.timing(node, epoch),
+                same_stream(timing_rngs[node],
                             seeding.substream(cfg.seed, model.stream, node, epoch))
-                lanes = streams.lanes(node, epoch)
-                for lane in (0, 1):
-                    same_stream(lanes(lane), seeding.substream(objective.seed, seeding.SAMPLES,
-                                                               node, epoch, lane))
+            for lane in (0, 1):
+                for node, rng in zip([4, 0, 2], lanes(lane)):
+                    same_stream(rng, seeding.substream(objective.seed, seeding.SAMPLES,
+                                                       node, epoch, lane))
 
     def test_a_model_without_a_stream_gets_none(self):
         cfg = engine.RunConfig(
@@ -92,7 +93,7 @@ class TestEngineStreams:
             objective=objectives.make_linear_regression(2, 0.0, seed=1),
             timing=timing.DeterministicTiming(period=1.0), schedule=dualavg.Schedule(1.0, 1.0),
             comm_time=0.0, tau=1, radius=1.0, seed=1, batch=4)
-        assert engine._Streams(cfg, 1, 1).timing(0, 1) is None
+        assert engine._Streams(cfg, 1, 1).timing(1) == [None, None]
 
 
 def count_substream_tags(monkeypatch):

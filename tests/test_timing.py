@@ -75,6 +75,66 @@ class TestPerGradientTime:
         assert 900 * per_grad == pytest.approx(2.5 * 900 / 600)
 
 
+def per_node_linear_epoch(model, node, epoch, rng, window, count, comm):
+    """One node's anytime and fixed-batch answers, as the per-node protocol computed them."""
+    batch_time = model.draw_batch_time(node, epoch, rng)
+    per_grad = model.per_gradient_time(batch_time)
+    extra = int(math.floor(comm / per_grad))
+    return (int(math.floor(window / per_grad)), extra, batch_time), (count * per_grad, extra)
+
+
+class TestAllNodeEpochs:
+    MODELS = [
+        timing.ShiftedExponential(rate=2 / 3, shift=1.0, reference_batch=60),
+        timing.ShiftedExponential(rate=1.0, shift=0.0, reference_batch=7),
+        timing.DeterministicTiming(period=3.0, reference_batch=7),
+        timing.TraceTiming(table=((1.0, 2.5, 0.3), (4.0,), (0.7, 1.1), (2.0, 2.0, 9.0, 0.1),
+                                  (1.3,), (5.5, 0.2)), reference_batch=11),
+    ]
+
+    @pytest.mark.parametrize("model", MODELS, ids=["shifted", "shift-0", "deterministic", "trace"])
+    def test_match_per_node_answers_bit_for_bit(self, model):
+        n, seed = 5, 9
+        counts = np.array([0, 1, 7, 60, 61])
+
+        def rngs(epoch):
+            if model.stream is None:
+                return [None] * n
+            return [seeding.substream(seed, model.stream, i, epoch) for i in range(n)]
+
+        for epoch in (1, 2, 4):
+            for window, comm in ((0.0, 0.0), (2.5, 1.0), (7.3, 0.0), (0.0, 4.1)):
+                want = [per_node_linear_epoch(model, i, epoch, rng, window, count, comm)
+                        for i, (rng, count) in enumerate(zip(rngs(epoch), counts.tolist()))]
+                b, a, times = model.window_epoch(epoch, rngs(epoch), window, comm)
+                assert (b.dtype.kind, a.dtype.kind, times.dtype.kind) == ("i", "i", "f")
+                assert list(zip(b.tolist(), a.tolist())) == [w[0][:2] for w in want]
+                assert times.tobytes() == np.array([w[0][2] for w in want]).tobytes()
+                durations, a, times = model.batch_epoch(epoch, rngs(epoch), counts, comm)
+                assert durations.tobytes() == np.array([w[1][0] for w in want]).tobytes()
+                assert a.tolist() == [w[1][1] for w in want]
+                assert times.tobytes() == np.array([w[0][2] for w in want]).tobytes()
+
+    def test_a_batch_time_of_zero_is_rejected(self):
+        class ZeroDraw:
+            def exponential(self, scale):
+                return 0.0
+
+        model = timing.ShiftedExponential(rate=1.0, shift=0.0, reference_batch=7)
+        with pytest.raises(ValueError, match="batch time must be positive"):
+            model.window_epoch(1, [seeding.substream(1, seeding.TIMING, 0, 1), ZeroDraw()],
+                               2.0, 1.0)
+        with pytest.raises(ValueError, match="batch time must be positive"):
+            model.batch_epoch(1, [ZeroDraw()], np.array([3]), 1.0)
+
+    def test_counts_beyond_int64_are_rejected(self):
+        model = timing.DeterministicTiming(period=1e-300, reference_batch=1)
+        with pytest.raises(ValueError, match="int64"):
+            model.window_epoch(1, [None, None], 2.0, 0.0)
+        with pytest.raises(ValueError, match="int64"):
+            model.batch_epoch(1, [None], np.array([3]), 2.0)
+
+
 class TestDeterministic:
     def test_constant(self):
         model = timing.DeterministicTiming(period=3.0)
@@ -280,18 +340,26 @@ class TestPauseBlocks:
     @pytest.mark.parametrize("model", MODELS)
     def test_epochs_match_two_separate_windows(self, model):
         # The communication window continues the compute phase's stream at
-        # the index where that phase stopped.
-        for node in range(len(model.assignment)):
-            for window, comm in ((0.0, 7.5), (14.5, 0.0), (60.0, 14.5), (202.7, 60.0)):
+        # the index where that phase stopped. The all-node call answers each
+        # node as its own two windows do.
+        nodes = range(len(model.assignment))
+        for window, comm in ((0.0, 7.5), (14.5, 0.0), (60.0, 14.5), (202.7, 60.0)):
+            want = []
+            for node in nodes:
                 count, busy, nxt = reference_window(model, node, 2, 5, window)
-                extra = reference_window(model, node, 2, 5, comm, nxt)[0]
-                got = model.window_epoch(node, 2, pause_rng(5, node, 2), window, comm)
-                assert got == (count, extra, busy)
-            for count, comm in ((0, 14.5), (1, 60.0), (10, 0.0), (37, 60.0)):
+                want.append((count, reference_window(model, node, 2, 5, comm, nxt)[0], busy))
+            got = model.window_epoch(2, [pause_rng(5, node, 2) for node in nodes], window, comm)
+            assert [a.dtype.kind for a in got] == ["i", "i", "f"]
+            assert list(zip(*(a.tolist() for a in got))) == want
+        for counts, comm in (([0, 1, 10], 14.5), ([37, 0, 1], 60.0), ([10, 10, 2], 0.0)):
+            counts = np.resize(counts, len(nodes))
+            want = []
+            for node, count in zip(nodes, counts.tolist()):
                 busy, nxt = reference_fixed_count(model, node, 4, 6, count)
-                extra = reference_window(model, node, 4, 6, comm, nxt)[0]
-                got = model.batch_epoch(node, 4, pause_rng(6, node, 4), count, comm)
-                assert got == (busy, extra, busy)
+                want.append((busy, reference_window(model, node, 4, 6, comm, nxt)[0], busy))
+            got = model.batch_epoch(4, [pause_rng(6, node, 4) for node in nodes], counts, comm)
+            assert [a.dtype.kind for a in got] == ["f", "i", "f"]
+            assert list(zip(*(a.tolist() for a in got))) == want
 
     @pytest.mark.parametrize("first_block", [timing.GroupedPauseTiming.FIRST_BLOCK, 2])
     def test_one_stream_per_node_and_epoch(self, monkeypatch, first_block):
@@ -314,11 +382,13 @@ class TestPauseBlocks:
         substream = seeding.substream
         monkeypatch.setattr(seeding, "substream",
                             lambda *args: calls.append(args) or substream(*args))
-        for node, epoch in pairs:
-            got = model.window_epoch(node, epoch, rngs[node, epoch, 0], 202.7, 60.0)
-            assert got == want[node, epoch, 0]
-            got = model.batch_epoch(node, epoch, rngs[node, epoch, 1], 37, 60.0)
-            assert got == want[node, epoch, 1]
+        nodes = range(len(model.assignment))
+        for epoch in (1, 2):
+            got = model.window_epoch(epoch, [rngs[node, epoch, 0] for node in nodes], 202.7, 60.0)
+            assert list(zip(*(a.tolist() for a in got))) == [want[node, epoch, 0] for node in nodes]
+            got = model.batch_epoch(epoch, [rngs[node, epoch, 1] for node in nodes],
+                                    np.full(len(nodes), 37), 60.0)
+            assert list(zip(*(a.tolist() for a in got))) == [want[node, epoch, 1] for node in nodes]
         assert calls == []
 
     @pytest.mark.parametrize("model", MODELS)
@@ -329,7 +399,7 @@ class TestPauseBlocks:
             rng = pause_rng(1, 0, 1)
             state = rng.bit_generator.state
             with pytest.raises(ValueError, match="at most"):
-                model.window_epoch(0, 1, rng, window, comm)
+                model.window_epoch(1, [rng], window, comm)
             assert rng.bit_generator.state == state
         with pytest.raises(ValueError, match="at most"):
             model.compute_window(0, 1, seed=1, window=beyond)
@@ -350,9 +420,9 @@ class TestPauseBlocks:
             with pytest.raises(ValueError, match="window"):
                 model.compute_window(0, 1, seed=1, window=window)
             with pytest.raises(ValueError, match="window"):
-                model.window_epoch(0, 1, pause_rng(1, 0, 1), 5.0, window)
+                model.window_epoch(1, [pause_rng(1, 0, 1)], 5.0, window)
             with pytest.raises(ValueError, match="window"):
-                model.batch_epoch(0, 1, pause_rng(1, 0, 1), 3, window)
+                model.batch_epoch(1, [pause_rng(1, 0, 1)], np.array([3]), window)
 
 
 class TestSpeedupFormulas:
