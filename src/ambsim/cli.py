@@ -328,28 +328,34 @@ def _resolve_schedule(spec, model, graph, tmodel, radius, compute_time, mode) ->
     return dualavg.Schedule(offset=float(offset), work_scale=float(scale))
 
 
-def _check_window_rows(spec: ExperimentSpec, model, window: float, batch_rows: int):
-    """Bound the samples a shifted-exponential node draws in one epoch.
+# The key that sets each linear-progress model's least batch time.
+_LEAST_TIME_KEY = {"shifted_exponential": "timing.shift", "deterministic": "timing.period",
+                   "trace": "timing.path"}
+
+
+def _check_window_rows(spec: ExperimentSpec, model, tmodel, n: int, window: float,
+                       batch_rows: int):
+    """Bound the samples a linear-progress node draws in one epoch.
 
     Besides its ``batch_rows`` fixed-batch samples, a node fits
     (window + communication time) * reference_batch / batch time gradients
     in its compute and communication windows, and its batch time is at
-    least ``timing.shift``. With a shift of 0 nothing bounds that count.
+    least ``tmodel.least_batch_time(n)``. A shift of 0 bounds nothing.
     """
     span = window + spec.run["communication_time"]
-    shift = spec.timing["shift"]
+    key, least = _LEAST_TIME_KEY[spec.timing["kind"]], tmodel.least_batch_time(n)
     if span == 0:
         return
-    if shift == 0:
-        raise ConfigError("key 'timing.shift' is 0, so a batch time can be arbitrarily short "
+    if least == 0:
+        raise ConfigError(f"key '{key}' is 0, so a batch time can be arbitrarily short "
                           "and nothing bounds the samples a node draws in one window; it must "
                           "be positive when a compute or communication window is open")
     # A node draws its samples of one epoch as one float64 array.
-    rows = batch_rows + span * spec.timing["reference_batch"] / shift
+    rows = batch_rows + span * spec.timing["reference_batch"] / least
     if rows * model.dim * 8 > np.iinfo(np.intp).max:
-        raise ConfigError(f"key 'timing.shift' {shift:g} lets a node fit {rows:.3g} gradients "
-                          f"of dimension {model.dim} in one epoch's {span:g} s of windows, more "
-                          f"samples than one numpy array can hold")
+        raise ConfigError(f"key '{key}' gives a least batch time of {least:g} s, so a node "
+                          f"fits {rows:.3g} gradients of dimension {model.dim} in one epoch's "
+                          f"{span:g} s of windows, more samples than one numpy array can hold")
 
 
 def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -> engine.RunConfig:
@@ -382,8 +388,8 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     compute_time = None
     if mode in ("amb", "serial"):
         compute_time = _resolve_compute_time(spec, graph, tmodel)
-    if spec.timing["kind"] == "shifted_exponential":
-        _check_window_rows(spec, model, compute_time or 0.0, rows)
+    if spec.timing["kind"] in _LEAST_TIME_KEY:
+        _check_window_rows(spec, model, tmodel, graph.n, compute_time or 0.0, rows)
     if spec.timing["kind"] == "grouped_pause":
         # Each window is walked one gradient and pause at a time.
         g = tmodel.base_gradient_time

@@ -84,6 +84,7 @@ class _LinearProgress:
     Partial gradients in progress at a deadline are discarded, hence the floors.
     ``draw_batch_time(node, epoch, rng)`` gives T_i from the (node, epoch)
     generator; ``batch_time(node, epoch, seed)`` addresses that generator itself.
+    ``least_batch_time(n)`` is a lower bound on T_i over nodes ``0..n-1``.
     """
 
     stream = None
@@ -150,6 +151,9 @@ class ShiftedExponential(_LinearProgress):
     def mean_batch_time(self) -> float:
         return self.shift + 1.0 / self.rate
 
+    def least_batch_time(self, n: int) -> float:
+        return self.shift
+
     def std_batch_time(self) -> float:
         return 1.0 / self.rate
 
@@ -178,6 +182,9 @@ class DeterministicTiming(_LinearProgress):
         return self.period
 
     def mean_batch_time(self) -> float:
+        return self.period
+
+    def least_batch_time(self, n: int) -> float:
         return self.period
 
     def std_batch_time(self) -> float:
@@ -214,6 +221,10 @@ class TraceTiming(_LinearProgress):
 
     def mean_batch_time(self) -> float:
         return float(np.mean([t for times in self.table for t in times]))
+
+    def least_batch_time(self, n: int) -> float:
+        """The least batch time of the first ``n`` trace nodes, the ones that run."""
+        return min(min(times) for times in self.table[:n])
 
     def mean_window_batch(self, window: float, n: int) -> float:
         """Only the first ``n`` trace nodes run; a trace may list more."""

@@ -263,6 +263,20 @@ class TestTraceTimingFailsClosed:
         assert "timing.path" in err and "times.csv:4" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["fmb", "amb"])
+    def test_a_batch_time_too_short_for_one_array_names_the_path(self, tmp_path, capsys, mode):
+        # Node 4 is not in the graph, so its shorter time bounds nothing.
+        rows = ["0,1,1.5", "1,1,1e-300", "2,1,1.0", "3,1,1.0", "4,1,1e-320"]
+        path = trace_config(tmp_path, tmp_path / "out", rows=rows)
+        payload = json.loads(path.read_text())
+        payload["mode"] = mode
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "timing.path" in err and "1e-300" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("row", ["2,1", "2,1,1.0,7", "-1,1,1.0"])
     def test_malformed_rows_cite_their_line(self, tmp_path, capsys, row):
         rows = ["0,1,1.5", "1,1,2.0", row, "2,1,1.0", "3,1,1.0"]
@@ -424,6 +438,8 @@ class TestSubcommands:
         pytest.param("timing.shift", 0, {}, id="timing.shift-0-amb"),
         pytest.param("timing.shift", 0, {"mode": "fmb"}, id="timing.shift-0-fmb"),
         pytest.param("timing.shift", 1e-300, {}, id="timing.shift-1e-300"),
+        pytest.param("timing.period", 1e-300, {"timing": {"kind": "deterministic", "period": 2.0}},
+                     id="timing.period-1e-300"),
     ])
     def test_invalid_values_name_the_key(self, tmp_path, capsys, key, value, sections):
         path = full_config(tmp_path, tmp_path / "out", **sections)
