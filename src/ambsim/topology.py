@@ -220,13 +220,13 @@ def build_consensus_matrix(graph: Graph, scheme: str = "lazy-metropolis") -> Con
     allowed = graph.adjacency() + np.eye(n)
     if np.any((p > 0) & (allowed == 0)):
         raise ValueError(f"{scheme}: support outside the graph's edges")
-    min_eig = float(np.linalg.eigvalsh(p)[0])
-    if min_eig < -1e-10:
+    spectrum = np.linalg.eigvalsh(p)
+    if spectrum[0] < -1e-10:
         raise ValueError(
-            f"{scheme}: matrix is not positive semidefinite (min eigenvalue {min_eig:.3e}); "
+            f"{scheme}: matrix is not positive semidefinite (min eigenvalue {spectrum[0]:.3e}); "
             "use the lazy-metropolis scheme"
         )
-    lam2 = second_eigenvalue(p)
+    lam2 = second_eigenvalue(spectrum)
     if n > 1 and lam2 >= 1.0:
         raise ValueError(f"{scheme}: second eigenvalue {lam2} >= 1, matrix does not mix")
     return ConsensusMatrix(p, lam2, *row_supports(p))
@@ -242,13 +242,13 @@ def row_supports(p: np.ndarray) -> tuple:
     index and weight 0.
     """
     n = p.shape[0]
-    supports = [np.flatnonzero(p[i]) for i in range(n)]
-    k = max(len(cols) for cols in supports)
-    columns = np.tile(np.arange(n), (k, 1))
-    weights = np.zeros((k, n))
-    for i, cols in enumerate(supports):
-        columns[: len(cols), i] = cols
-        weights[: len(cols), i] = p[i, cols]
+    rows, cols = np.nonzero(p)
+    counts = np.bincount(rows, minlength=n)
+    rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    columns = np.tile(np.arange(n), (counts.max(), 1))
+    weights = np.zeros(columns.shape)
+    columns[rank, rows] = cols
+    weights[rank, rows] = p[rows, cols]
     return columns, weights
 
 
@@ -256,20 +256,20 @@ def second_eigenvalue(p) -> float:
     """Second eigenvalue of a symmetric doubly stochastic matrix.
 
     The entry of the spectrum with the second-largest modulus, read from
-    one dense symmetric eigensolve (``numpy.linalg.eigvalsh``). Exact ties
-    in modulus go to the larger eigenvalue, so the spectrum
-    {1, 1/3, 1/3, -1/3} gives 1/3. For a single node the value is 0 by
-    convention. A returned value of 1.0 flags a matrix that does not mix
-    (for example the identity).
+    one dense symmetric eigensolve (``numpy.linalg.eigvalsh``) or, if ``p``
+    is 1-D, from ``p`` as that ascending spectrum. Exact ties in modulus go
+    to the larger eigenvalue, so the spectrum {1, 1/3, 1/3, -1/3} gives
+    1/3. For a single node the value is 0 by convention. A returned value
+    of 1.0 flags a matrix that does not mix (for example the identity).
     """
     a = p.matrix if isinstance(p, ConsensusMatrix) else np.asarray(p, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if n == 1:
+    if a.ndim != 1:
+        if a.shape != (len(a), len(a)):
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        a = np.linalg.eigvalsh(a)
+    if len(a) == 1:
         return 0.0
-    spectrum = np.linalg.eigvalsh(a)
-    return float(spectrum[np.argsort(np.abs(spectrum), kind="stable")[-2]])
+    return float(a[np.argsort(np.abs(a), kind="stable")[-2]])
 
 
 def min_consensus_rounds(n: int, func_lipschitz: float, eps: float, lambda2: float) -> int:

@@ -540,6 +540,26 @@ class TestSubcommands:
         assert "lambda2 (lazy-metropolis)" in out
         assert "rounds" in out
 
+    def test_topology_subcommand_on_the_testbed(self, capsys):
+        edgefile = Path(__file__).parent.parent / "demos" / "configs" / "testbed_edges.txt"
+        assert cli.main(["topology", str(edgefile)]) == 0
+        not_psd = "matrix is not positive semidefinite (min eigenvalue {}); use the " \
+            "lazy-metropolis scheme)"
+        assert capsys.readouterr().out.splitlines() == [
+            "nodes: 10",
+            "edges: 16",
+            "lambda2 (lazy-metropolis): 0.944206497542",
+            "consensus round bound (Lipschitz constant 1.0):",
+            "  eps        rounds",
+            "  1          53",
+            "  0.5        62",
+            "  0.1        88",
+            "  0.01       129",
+            "  0.001      170",
+            "lambda2 (metropolis): unavailable (metropolis: " + not_psd.format("-1.333e-01"),
+            "lambda2 (uniform): unavailable (uniform: " + not_psd.format("-5.121e-02"),
+        ]
+
     def test_bounds_subcommand(self, tmp_path, capsys):
         path = full_config(tmp_path, tmp_path / "out")
         assert cli.main(["bounds", str(path)]) == 0

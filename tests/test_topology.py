@@ -22,6 +22,19 @@ def random_connected_graph(rng, n, extra=0.3):
     return topology.make_graph(n, edges)
 
 
+def row_supports_oracle(p):
+    # One np.flatnonzero per row: the reference the vectorized row supports match.
+    n = p.shape[0]
+    supports = [np.flatnonzero(p[i]) for i in range(n)]
+    k = max(len(cols) for cols in supports)
+    columns = np.tile(np.arange(n), (k, 1))
+    weights = np.zeros((k, n))
+    for i, cols in enumerate(supports):
+        columns[: len(cols), i] = cols
+        weights[: len(cols), i] = p[i, cols]
+    return columns, weights
+
+
 def bfs_connected(n, edges):
     adj = {i: [] for i in range(n)}
     for i, j in edges:
@@ -181,6 +194,41 @@ class TestConsensusMatrix:
             assert list(cm.columns[: len(cols), i]) == cols
             assert np.array_equal(cm.weights[: len(cols), i], cm.matrix[i, cols])
             assert not cm.weights[len(cols):, i].any()
+        rng = np.random.default_rng(29)
+        empty_row = np.array([[0.5, 0.0, 0.5], [0.0, -0.0, 0.0], [0.5, 0.0, 0.5]])
+        negative = np.array([[0.0, -0.25, 1.25], [-0.25, 0.0, 1.25], [1.25, 1.25, -1.5]])
+        dense_row = np.diag([1.0, 2.0, 3.0, 4.0])
+        dense_row[2] = [-1.0, 0.5, 2.0, 0.25]
+        matrices = [np.ones((1, 1)), np.zeros((1, 1)), np.zeros((3, 3)), empty_row, negative,
+                    dense_row, np.full((5, 5), 0.2)]
+        for n in (2, 7, 16, 40):
+            for density in (0.1, 0.5, 0.9):
+                a = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
+                matrices.append(a + a.T)
+        for p in matrices:
+            got, want = topology.row_supports(p), row_supports_oracle(p)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    def test_one_eigensolve_per_build(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        graphs = [topology.make_graph(1, []), topology.ring_graph(4), topology.testbed_graph()]
+        for g in graphs:
+            for scheme in topology.SCHEMES:
+                calls.clear()
+                try:
+                    topology.build_consensus_matrix(g, scheme)
+                except ValueError as exc:
+                    assert "positive semidefinite" in str(exc)
+                assert len(calls) == 1, (g.n, scheme)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown weighting scheme"):
