@@ -15,10 +15,10 @@ from .metrics import (BoundConstants, BoundReport, ErrorSeries, RegretSeries, Ru
                       SpeedupReport, bound_report, empirical_regret, error_vs_walltime,
                       evaluate_regret_bound, expected_regret_bound, speedup_measurement,
                       time_to_reach, worst_node_loss)
-from .objectives import (EmptyBatchError, EstimatedConstants, LinearRegressionObjective,
+from .objectives import (EstimatedConstants, LinearRegressionObjective,
                          MulticlassLogisticObjective, estimate_constants,
                          gradient_variance_at, make_linear_regression,
-                         make_logistic_regression, minibatch_gradient)
+                         make_logistic_regression)
 from .timing import (DeterministicTiming, GroupedPauseTiming, ShiftedExponential,
                      TraceTiming, load_timing_trace, shifted_exp_asymptotic_ratio,
                      speedup_bound)

@@ -13,20 +13,20 @@ the configured base seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dualavg, engine, metrics, objectives, timing, topology
 
-__all__ = ["ExperimentSpec", "ConfigError", "parse_config", "write_config",
-           "run_experiment", "main"]
+__all__ = ["ExperimentSpec", "ConfigError", "parse_config", "run_experiment", "main"]
 
 TRACE_HEADER = "epoch,wall_time,global_batch,potential_batch,consensus_rounds,consensus_error,error_gap,regret"
 NODES_HEADER = "epoch,node,b_i,a_i,c_i,r_i,T_i"
@@ -245,13 +245,6 @@ def parse_config(path) -> ExperimentSpec:
     return spec
 
 
-def write_config(spec: ExperimentSpec, path):
-    """Write a spec back to JSON; `parse_config` of the result reproduces it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @contextmanager
 def _naming(key: str):
     """Re-raise a ValueError or OSError from loading ``key``'s value as a ConfigError naming it."""
@@ -262,13 +255,22 @@ def _naming(key: str):
 
 
 def build_objective(section: dict):
+    # A weight vector, and each sample's gradient, is one float64 row of dim
+    # values (classes * dim for softmax).
+    values = section["dim"] * section.get("classes", 1)
+    if values * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"key 'objective.dim' gives rows of {values} values, "
+                          "more than one numpy array can hold")
     if section["kind"] == "linear_regression":
         return objectives.make_linear_regression(section["dim"], section["noise_var"],
                                                  section["seed"])
+    make = functools.partial(objectives.make_logistic_regression, section["classes"],
+                             section["dim"], section["seed"],
+                             cluster_spread=section["cluster_spread"])
+    if section["csv_path"] is None:
+        return make()
     with _naming("objective.csv_path"):
-        return objectives.make_logistic_regression(
-            section["classes"], section["dim"], section["seed"],
-            csv_path=section["csv_path"], cluster_spread=section["cluster_spread"])
+        return make(csv_path=section["csv_path"])
 
 
 def build_graph(section: dict) -> topology.Graph:

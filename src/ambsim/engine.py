@@ -273,11 +273,6 @@ def init_state(config: RunConfig) -> EngineState:
     return EngineState(primal=np.zeros(shape), dual=np.zeros(shape), wall=0.0)
 
 
-def _compute_phase(config: RunConfig, t: int, streams: _Streams):
-    """Per-node (b_i, a_i, T_i) of an anytime epoch, from the timing model's ``window_epoch``."""
-    return config.timing.window_epoch(t, streams.timing(t), config.compute_time, config.comm_time)
-
-
 def _fmb_batches(batch: int, n: int) -> np.ndarray:
     """Split a global batch: the first ``batch % n`` nodes take the extra sample."""
     base = batch // n
@@ -417,7 +412,8 @@ def run_amb_epoch(state: EngineState, config: RunConfig, t: int, streams: _Strea
 
     ``streams`` holds the seeds of a block of epochs that contains ``t``.
     """
-    b, a, times = _compute_phase(config, t, streams)
+    b, a, times = config.timing.window_epoch(t, streams.timing(t), config.compute_time,
+                                             config.comm_time)
     return _epoch(state, config, t, streams, b, a, times, config.compute_time,
                   t * (config.compute_time + config.comm_time))
 

@@ -80,10 +80,6 @@ class RunTrace:
     final_primals: np.ndarray | None
 
     @property
-    def mode(self) -> str:
-        return self.config.mode
-
-    @property
     def tau(self) -> int:
         return len(self.records)
 
@@ -100,23 +96,12 @@ def empirical_regret(records, optimum_value: float) -> RegretSeries:
     accounting. Every run evaluates the losses of its extra-capacity
     samples, so the potential series sums recorded losses too.
     """
-    tau = len(records)
-    processed = np.zeros(tau)
-    potential = np.zeros(tau)
-    count_b = np.zeros(tau, dtype=np.int64)
-    count_c = np.zeros(tau, dtype=np.int64)
-    acc_b = acc_c = 0.0
-    nb = nc = 0
-    for k, record in enumerate(records):
-        acc_b += float(np.sum(record.loss_sum_processed))
-        acc_c += float(np.sum(record.loss_sum_potential))
-        nb += int(record.global_batch)
-        nc += int(record.global_potential)
-        processed[k] = acc_b - nb * optimum_value
-        potential[k] = acc_c - nc * optimum_value
-        count_b[k] = nb
-        count_c[k] = nc
-    return RegretSeries(processed=processed, potential=potential,
+    loss_b = np.cumsum([np.sum(r.loss_sum_processed) for r in records])
+    loss_c = np.cumsum([np.sum(r.loss_sum_potential) for r in records])
+    count_b = np.cumsum([r.global_batch for r in records], dtype=np.int64)
+    count_c = np.cumsum([r.global_potential for r in records], dtype=np.int64)
+    return RegretSeries(processed=loss_b - count_b * optimum_value,
+                        potential=loss_c - count_c * optimum_value,
                         samples_processed=count_b, samples_potential=count_c)
 
 

@@ -3,9 +3,8 @@
 Models are immutable after construction. Sample streams are split per
 (node, epoch) from the model's own seed, so parallel nodes never share
 generator state and the first ``k`` samples of a stream do not depend on
-how many are requested. ``draw(node, epoch, count, lanes)`` takes the
-stream's generators from ``lanes(k)``, the generator of
-``(SAMPLES, node, epoch, k)``; without ``lanes`` it addresses them itself.
+how many are requested. ``draw(node, epoch, count)`` addresses the
+stream's generators itself: lane k is ``(SAMPLES, node, epoch, k)``.
 ``draw_rows(counts, lanes)`` draws several such streams into one array,
 each into its own slice, and ``loss_and_grad_rows`` scores such an array
 row by row against one weight vector per row, which is how the engine
@@ -29,13 +28,11 @@ from . import seeding
 
 __all__ = [
     "EstimatedConstants",
-    "EmptyBatchError",
     "LinearRegressionObjective",
     "MulticlassLogisticObjective",
     "make_linear_regression",
     "make_logistic_regression",
     "load_labeled_csv",
-    "minibatch_gradient",
     "gradient_variance_at",
     "estimate_constants",
 ]
@@ -55,17 +52,11 @@ def _sample_lanes(seed: int, node: int, epoch: int):
     return functools.partial(seeding.substream, seed, seeding.SAMPLES, node, epoch)
 
 
-class EmptyBatchError(ValueError):
-    """Raised when a minibatch gradient is requested for zero samples."""
-
-
 @dataclass(frozen=True)
 class EstimatedConstants:
     grad_smoothness: float
     loss_lipschitz: float
     grad_variance: float
-    probe_count: int
-    radius: float
 
 
 class _RowModel:
@@ -125,9 +116,9 @@ class LinearRegressionObjective(_RowModel):
             labels = labels + math.sqrt(self.noise_var) * noise
         return x, labels
 
-    def draw(self, node: int, epoch: int, count: int, lanes=None):
+    def draw(self, node: int, epoch: int, count: int):
         """First ``count`` samples of the (node, epoch) stream."""
-        lanes = lanes or _sample_lanes(self.seed, node, epoch)
+        lanes = _sample_lanes(self.seed, node, epoch)
         return self.draw_rows([count], lambda k: [lanes(k)])
 
     def holdout(self, count: int):
@@ -221,8 +212,8 @@ class MulticlassLogisticObjective(_RowModel):
         np.add(self.centers[picks], noise, out=x[:, : self.feat_dim - 1])
         return x, picks
 
-    def draw(self, node: int, epoch: int, count: int, lanes=None):
-        lanes = lanes or _sample_lanes(self.seed, node, epoch)
+    def draw(self, node: int, epoch: int, count: int):
+        lanes = _sample_lanes(self.seed, node, epoch)
         return self.draw_rows([count], lambda k: [lanes(k)])
 
     def holdout(self, count: int):
@@ -325,18 +316,6 @@ def load_labeled_csv(path, feat_dim: int):
     return out, np.asarray(labels, dtype=int)
 
 
-def minibatch_gradient(model, w, batch) -> np.ndarray:
-    """Average of per-sample gradients at ``w`` over ``batch = (features, labels)``.
-
-    Raises :class:`EmptyBatchError` for an empty batch; the caller decides
-    how an epoch without samples is handled.
-    """
-    x, y = batch
-    if len(x) == 0:
-        raise EmptyBatchError("minibatch gradient requested for an empty batch")
-    return model.grad_mean(np.asarray(w, dtype=float), np.asarray(x, dtype=float), y)
-
-
 def gradient_variance_at(model, w, sample_count: int, seed: int) -> float:
     """Monte-Carlo estimate of E||grad f(w, x) - grad F(w)||^2 at a fixed ``w``."""
     if sample_count < 2:
@@ -404,6 +383,4 @@ def estimate_constants(model, probe_count: int, seed: int, radius: float = 1.0) 
         grad_smoothness=smooth,
         loss_lipschitz=lipschitz,
         grad_variance=variance,
-        probe_count=probe_count,
-        radius=radius,
     )

@@ -434,26 +434,23 @@ class GroupedPauseTiming:
             rows.append((busy, self._walk(comm_time, block, len(block), draw)[0], busy))
         return tuple(map(np.array, zip(*rows)))
 
-    def mean_window_batch(self, window: float, n: int) -> float:
-        """Sum over nodes of the window divided by the mean time per gradient and pause."""
-        return float(sum(window / (self.base_gradient_time + self.mean_pause(i))
-                         for i in range(n)))
+    def _pause_moments(self, n: int):
+        """Rows 0 and 1: the pause mean and variance of each of nodes ``0..n-1``."""
+        groups = [_clipped_normal_moments(m, v) for m, v in zip(self.group_means, self.group_vars)]
+        return np.array([groups[self.assignment[i]] for i in range(n)]).reshape(n, 2).T
 
-    def mean_pause(self, node: int) -> float:
-        j = self.assignment[node]
-        return _clipped_normal_moments(self.group_means[j], self.group_vars[j])[0]
+    def mean_window_batch(self, window: float, n: int) -> float:
+        """Sum over nodes, in order, of the window divided by the mean time per gradient and pause."""
+        g = self.base_gradient_time
+        return float(sum(window / (g + mean) for mean in self._pause_moments(n)[0].tolist()))
 
     def completion_stats(self, counts) -> tuple:
         """Population mean and std of the per-node time for ``counts`` gradients."""
         counts = np.asarray(counts, dtype=int)
-        means = np.empty(len(counts))
-        variances = np.empty(len(counts))
-        for i, k in enumerate(counts):
-            j = self.assignment[i]
-            pm, pv = _clipped_normal_moments(self.group_means[j], self.group_vars[j])
-            means[i] = k * self.base_gradient_time + max(0, k - 1) * pm
-            variances[i] = max(0, k - 1) * pv
-        total_var = float(np.mean(variances) + np.var(means))
+        pause_means, pause_vars = self._pause_moments(len(counts))
+        gaps = np.maximum(counts - 1, 0)
+        means = counts * self.base_gradient_time + gaps * pause_means
+        total_var = float(np.mean(gaps * pause_vars) + np.var(means))
         return float(np.mean(means)), math.sqrt(total_var)
 
 

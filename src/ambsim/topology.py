@@ -99,13 +99,7 @@ class Graph:
 
 def make_graph(n: int, edges) -> Graph:
     """Build a :class:`Graph`, normalizing edge order and dropping duplicates."""
-    normalized = set()
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if i == j:
-            raise ValueError(f"self loop ({i}, {j}) is not allowed")
-        normalized.add((min(i, j), max(i, j)))
-    return Graph(n=int(n), edges=frozenset(normalized))
+    return Graph(n=int(n), edges=frozenset(tuple(sorted((int(i), int(j)))) for i, j in edges))
 
 
 def complete_graph(n: int) -> Graph:
@@ -262,7 +256,7 @@ def second_eigenvalue(p) -> float:
     1/3. For a single node the value is 0 by convention. A returned value
     of 1.0 flags a matrix that does not mix (for example the identity).
     """
-    a = p.matrix if isinstance(p, ConsensusMatrix) else np.asarray(p, dtype=float)
+    a = np.asarray(p, dtype=float)
     if a.ndim != 1:
         if a.shape != (len(a), len(a)):
             raise ValueError(f"expected a square matrix, got shape {a.shape}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -78,7 +79,7 @@ class TestParsing:
     def test_round_trip(self, tmp_path):
         spec = cli.parse_config(full_config(tmp_path, tmp_path / "out"))
         back = tmp_path / "roundtrip.json"
-        cli.write_config(spec, back)
+        back.write_text(json.dumps(dataclasses.asdict(spec)))
         assert cli.parse_config(back) == spec
 
     def test_reference_experiment_config_echoes(self, tmp_path):
@@ -440,6 +441,8 @@ class TestSubcommands:
         pytest.param("timing.shift", 1e-300, {}, id="timing.shift-1e-300"),
         pytest.param("timing.period", 1e-300, {"timing": {"kind": "deterministic", "period": 2.0}},
                      id="timing.period-1e-300"),
+        pytest.param("objective.dim", 2**59, {"objective": SOFTMAX}, id="objective.dim-2**59-softmax"),
+        pytest.param("objective.dim", 2**60, {}, id="objective.dim-2**60"),
     ])
     def test_invalid_values_name_the_key(self, tmp_path, capsys, key, value, sections):
         path = full_config(tmp_path, tmp_path / "out", **sections)

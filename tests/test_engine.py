@@ -58,6 +58,12 @@ class TestConfigValidation:
             small_config(rounds="sometimes")
 
 
+def window_epoch(cfg):
+    """``(b, a, T)`` of epoch 1 from the timing model, with the generators a run gives it."""
+    return cfg.timing.window_epoch(1, engine._Streams(cfg, 1, 1).timing(1), cfg.compute_time,
+                                   cfg.comm_time)
+
+
 class TestComputePhase:
     def test_deterministic_batch_sizes(self):
         cfg = small_config(
@@ -65,7 +71,7 @@ class TestComputePhase:
             timing=timing.DeterministicTiming(period=1.0, reference_batch=1),
             compute_time=3.0,
         )
-        b, a, _ = engine._compute_phase(cfg, 1, engine._Streams(cfg, 1, 1))
+        b, a, _ = window_epoch(cfg)
         assert list(b) == [3, 3]
         assert int(b.sum()) == 6
         assert list(a) == [1, 1]
@@ -76,7 +82,7 @@ class TestComputePhase:
             timing=timing.DeterministicTiming(period=2.5, reference_batch=60),
             compute_time=2.5,
         )
-        b, _, _ = engine._compute_phase(cfg, 1, engine._Streams(cfg, 1, 1))
+        b, _, _ = window_epoch(cfg)
         assert all(b == 60)
 
     def test_fmb_remainder_rule(self):

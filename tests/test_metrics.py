@@ -31,7 +31,50 @@ def record(epoch, loss_b, loss_c, b, a, wall_end=None, primal=None, n=2, dim=3):
     )
 
 
+def loop_regret(records, optimum_value):
+    """The epoch loop ``empirical_regret`` replaced: running sums, one epoch at a time."""
+    tau = len(records)
+    processed = np.zeros(tau)
+    potential = np.zeros(tau)
+    count_b = np.zeros(tau, dtype=np.int64)
+    count_c = np.zeros(tau, dtype=np.int64)
+    acc_b = acc_c = 0.0
+    nb = nc = 0
+    for k, rec in enumerate(records):
+        acc_b += float(np.sum(rec.loss_sum_processed))
+        acc_c += float(np.sum(rec.loss_sum_potential))
+        nb += int(rec.global_batch)
+        nc += int(rec.global_potential)
+        processed[k] = acc_b - nb * optimum_value
+        potential[k] = acc_c - nc * optimum_value
+        count_b[k] = nb
+        count_c[k] = nc
+    return processed, potential, count_b, count_c
+
+
 class TestEmpiricalRegret:
+    def test_matches_the_epoch_loop_bit_for_bit(self):
+        # Loss sums spread over many magnitudes, so any change in the order of
+        # the additions shows in the low bits.
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            n = int(rng.integers(1, 7))
+            tau = 1 if trial % 5 == 0 else int(rng.integers(2, 60))
+            optimum = (0.0, 0, float(rng.uniform(0, 3)))[trial % 3]
+            records = []
+            for t in range(1, tau + 1):
+                b = rng.integers(0, 9, size=n)
+                a = rng.integers(0, 4, size=n)
+                lb = rng.uniform(0, 1, size=n) * 10.0 ** rng.uniform(-9, 9, size=n) * (b > 0)
+                lc = lb + rng.uniform(0, 1, size=n) * 10.0 ** rng.uniform(-9, 9, size=n) * (a > 0)
+                records.append(record(t, lb, lc, b, a, n=n))
+            series = metrics.empirical_regret(records, optimum)
+            got = (series.processed, series.potential, series.samples_processed,
+                   series.samples_potential)
+            for mine, want in zip(got, loop_regret(records, optimum)):
+                assert mine.dtype == want.dtype and mine.shape == want.shape
+                assert mine.tobytes() == want.tobytes()
+
     def test_single_sample_example(self):
         # one node, one epoch, one sample with loss 3.0 against optimum 1.0
         rec = record(1, loss_b=[3.0, 0.0], loss_c=[3.0, 0.0], b=[1, 0], a=[0, 0])

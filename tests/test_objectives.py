@@ -179,14 +179,13 @@ class TestMinibatchGradient:
         model = objectives.make_linear_regression(4, 0.2, seed=10)
         x, y = model.draw(0, 1, 1)
         w = np.ones(4)
-        got = objectives.minibatch_gradient(model, w, (x, y))
+        got = model.grad_mean(w, x, y)
         assert np.allclose(got, model.sample_grad(w, x[0], y[0]), atol=1e-15)
 
     def test_identical_samples(self):
         model = objectives.make_linear_regression(4, 0.2, seed=11)
         x, y = model.draw(0, 1, 1)
-        batch = (np.repeat(x, 6, axis=0), np.repeat(y, 6))
-        got = objectives.minibatch_gradient(model, np.ones(4), batch)
+        got = model.grad_mean(np.ones(4), np.repeat(x, 6, axis=0), np.repeat(y, 6))
         assert np.allclose(got, model.sample_grad(np.ones(4), x[0], y[0]), atol=1e-14)
 
     @pytest.mark.parametrize("maker,args", [
@@ -197,7 +196,7 @@ class TestMinibatchGradient:
         model = maker(*args, seed=12)
         x, y = model.draw(0, 1, 17)
         w = 0.3 * np.ones(model.dim)
-        got = objectives.minibatch_gradient(model, w, (x, y))
+        got = model.grad_mean(w, x, y)
         oracle = np.zeros(model.dim)
         for k in range(17):
             oracle += model.sample_grad(w, x[k], y[k])
@@ -208,9 +207,9 @@ class TestMinibatchGradient:
         model = objectives.make_linear_regression(5, 0.3, seed=13)
         x, y = model.draw(0, 1, 31)
         w = np.ones(5)
-        base = objectives.minibatch_gradient(model, w, (x, y))
+        base = model.grad_mean(w, x, y)
         perm = np.random.default_rng(0).permutation(31)
-        other = objectives.minibatch_gradient(model, w, (x[perm], y[perm]))
+        other = model.grad_mean(w, x[perm], y[perm])
         assert np.linalg.norm(base - other) <= 1e-12 * max(1.0, np.linalg.norm(base))
 
     def test_linear_sample_grad_is_grad_mean_of_one_row_bit_for_bit(self):
@@ -293,10 +292,14 @@ class TestMinibatchGradient:
         assert got_x.tobytes() == wants[0][0].tobytes()
         assert got_y.tobytes() == wants[0][1].tobytes()
 
-    def test_empty_batch_signals(self):
-        model = objectives.make_linear_regression(4, 0.2, seed=14)
-        with pytest.raises(objectives.EmptyBatchError):
-            objectives.minibatch_gradient(model, np.zeros(4), (np.zeros((0, 4)), np.zeros(0)))
+    @pytest.mark.parametrize("model", [objectives.make_linear_regression(4, 0.2, seed=14),
+                                       objectives.make_logistic_regression(3, 4, seed=14)],
+                             ids=["linear", "softmax"])
+    def test_zero_rows_give_the_zero_vector(self, model):
+        x, y = model.draw(0, 1, 0)
+        got = model.grad_mean(np.ones(model.dim), x, y)
+        assert got.shape == (model.dim,)
+        assert got.tobytes() == np.zeros(model.dim).tobytes()
 
 
 class TestEstimateConstants:

@@ -252,6 +252,56 @@ class TestGroupedPause:
         assert long.tobytes() != model.pauses(4, 7, seed=13, count=500).tobytes()
 
 
+def loop_completion_stats(model, counts):
+    """The per-node loop the pause model's ``completion_stats`` replaced."""
+    counts = np.asarray(counts, dtype=int)
+    means = np.empty(len(counts))
+    variances = np.empty(len(counts))
+    for i, k in enumerate(counts):
+        j = model.assignment[i]
+        pm, pv = timing._clipped_normal_moments(model.group_means[j], model.group_vars[j])
+        means[i] = k * model.base_gradient_time + max(0, k - 1) * pm
+        variances[i] = max(0, k - 1) * pv
+    total_var = float(np.mean(variances) + np.var(means))
+    return float(np.mean(means)), math.sqrt(total_var)
+
+
+def loop_mean_window_batch(model, window, n):
+    """The per-node sum the pause model's ``mean_window_batch`` replaced."""
+    def mean_pause(node):
+        j = model.assignment[node]
+        return timing._clipped_normal_moments(model.group_means[j], model.group_vars[j])[0]
+    return float(sum(window / (model.base_gradient_time + mean_pause(i)) for i in range(n)))
+
+
+class TestPauseMoments:
+    def test_match_the_per_node_loops_bit_for_bit(self):
+        # Zero counts, groups of variance 0 and negative group means all occur.
+        rng = np.random.default_rng(12)
+        for trial in range(400):
+            groups = int(rng.integers(1, 6))
+            means = rng.uniform(-30, 60, size=groups)
+            variances = np.where(rng.random(groups) < 0.3, 0.0, rng.uniform(0, 200, size=groups))
+            n = int(rng.integers(1, 40))
+            model = timing.GroupedPauseTiming(
+                tuple(means.tolist()), tuple(variances.tolist()),
+                tuple(rng.integers(0, groups, size=n).tolist()), float(rng.uniform(0.01, 20)))
+            counts = np.where(rng.random(n) < 0.2, 0, rng.integers(0, 5000, size=n))
+            assert (np.array(model.completion_stats(counts)).tobytes()
+                    == np.array(loop_completion_stats(model, counts)).tobytes())
+            window = float(rng.uniform(0.1, 1e4))
+            for nodes in (1, n):
+                assert (np.float64(model.mean_window_batch(window, nodes)).tobytes()
+                        == np.float64(loop_mean_window_batch(model, window, nodes)).tobytes())
+
+    def test_variance_0_groups_by_hand(self):
+        # Group 0's negative mean clips to no pause at all.
+        model = timing.GroupedPauseTiming((-3.0, 4.0), (0.0, 0.0), (0, 1, 1), 2.0)
+        assert model.completion_stats([0, 0, 0]) == (0.0, 0.0)
+        assert model.completion_stats([1, 2, 2]) == (6.0, math.sqrt(8.0))
+        assert model.mean_window_batch(12.0, 3) == 12.0 / 2.0 + 2 * 12.0 / 6.0
+
+
 def pause_rng(seed, node, epoch):
     """The generator the timing protocol takes: stream (PAUSES, node, epoch) at ``seed``."""
     return seeding.substream(seed, seeding.PAUSES, node, epoch)
