@@ -261,16 +261,20 @@ def build_objective(section: dict):
     if values * 8 > np.iinfo(np.intp).max:
         raise ConfigError(f"key 'objective.dim' gives rows of {values} values, "
                           "more than one numpy array can hold")
-    if section["kind"] == "linear_regression":
-        return objectives.make_linear_regression(section["dim"], section["noise_var"],
-                                                 section["seed"])
-    make = functools.partial(objectives.make_logistic_regression, section["classes"],
-                             section["dim"], section["seed"],
-                             cluster_spread=section["cluster_spread"])
-    if section["csv_path"] is None:
-        return make()
-    with _naming("objective.csv_path"):
-        return make(csv_path=section["csv_path"])
+    try:
+        if section["kind"] == "linear_regression":
+            return objectives.make_linear_regression(section["dim"], section["noise_var"],
+                                                     section["seed"])
+        make = functools.partial(objectives.make_logistic_regression, section["classes"],
+                                 section["dim"], section["seed"],
+                                 cluster_spread=section["cluster_spread"])
+        if section["csv_path"] is None:
+            return make()
+        with _naming("objective.csv_path"):
+            return make(csv_path=section["csv_path"])
+    except MemoryError:
+        raise ConfigError(f"key 'objective.dim' gives rows of {values} values, "
+                          "more than this host's memory holds") from None
 
 
 def build_graph(section: dict) -> topology.Graph:

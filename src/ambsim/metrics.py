@@ -83,9 +83,6 @@ class RunTrace:
     def tau(self) -> int:
         return len(self.records)
 
-    def compute_time_total(self) -> float:
-        return float(sum(r.compute_duration for r in self.records))
-
 
 def empirical_regret(records, optimum_value: float) -> RegretSeries:
     """Cumulative regret series from recorded per-node loss sums.
@@ -231,11 +228,12 @@ def speedup_measurement(trace_amb: RunTrace, trace_fmb: RunTrace) -> SpeedupRepo
         raise ValueError(
             f"paired traces must have equal epoch counts, got {trace_amb.tau} and {trace_fmb.tau}"
         )
-    s_a = trace_amb.compute_time_total()
-    s_f = trace_fmb.compute_time_total()
-    n = trace_fmb.config.graph.n
     if not trace_fmb.records:
         raise ValueError("fixed-batch trace has no epochs")
+    # Each total adds the epochs in order, on every Python version.
+    s_a, s_f = (float(np.cumsum([r.compute_duration for r in trace.records])[-1])
+                for trace in (trace_amb, trace_fmb))
+    n = trace_fmb.config.graph.n
     mu, sigma = trace_fmb.config.timing.completion_stats(trace_fmb.records[0].batch_sizes)
     return SpeedupReport(
         compute_time_fixed_window=s_a,

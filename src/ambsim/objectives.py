@@ -18,7 +18,6 @@ bit-stable across hosts with different threading configurations.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,11 +46,6 @@ def _normals_into(out: np.ndarray, counts, rngs) -> np.ndarray:
     return out
 
 
-def _sample_lanes(seed: int, node: int, epoch: int):
-    """``lane -> substream(seed, SAMPLES, node, epoch, lane)``."""
-    return functools.partial(seeding.substream, seed, seeding.SAMPLES, node, epoch)
-
-
 @dataclass(frozen=True)
 class EstimatedConstants:
     grad_smoothness: float
@@ -62,9 +56,9 @@ class EstimatedConstants:
 class _RowModel:
     """The calls both models build on their ``draw_rows`` and ``loss_and_grad_rows``."""
 
-    def draw_with(self, rng_a, rng_b, count: int):
-        """First ``count`` samples of one stream whose lanes 0 and 1 are ``rng_a`` and ``rng_b``."""
-        return self.draw_rows([count], lambda k: [(rng_a, rng_b)[k]])
+    def _draw(self, count: int, seed: int, *prefix: int):
+        """First ``count`` samples of the stream whose lane k is ``substream(seed, *prefix, k)``."""
+        return self.draw_rows([count], lambda k: [seeding.substream(seed, *prefix, k)])
 
     def loss_and_grad(self, w, x, y, count: int):
         """Per-row losses of every row, and the mean gradient of the first ``count`` rows.
@@ -118,21 +112,13 @@ class LinearRegressionObjective(_RowModel):
 
     def draw(self, node: int, epoch: int, count: int):
         """First ``count`` samples of the (node, epoch) stream."""
-        lanes = _sample_lanes(self.seed, node, epoch)
-        return self.draw_rows([count], lambda k: [lanes(k)])
+        return self._draw(count, self.seed, seeding.SAMPLES, node, epoch)
 
     def holdout(self, count: int):
-        return self.draw_with(
-            seeding.substream(self.seed, seeding.HOLDOUT, 0),
-            seeding.substream(self.seed, seeding.HOLDOUT, 1),
-            count,
-        )
-
-    def sample_loss(self, w, x, y) -> float:
-        r = float((x * w).sum()) - float(y)
-        return 0.5 * r * r
+        return self._draw(count, self.seed, seeding.HOLDOUT)
 
     def sample_grad(self, w, x, y) -> np.ndarray:
+        """One sample's gradient, the per-sample reference the tests check the row kernel against."""
         x = np.asarray(x, dtype=float)
         return (float((x * w).sum()) - float(y)) * x
 
@@ -213,15 +199,10 @@ class MulticlassLogisticObjective(_RowModel):
         return x, picks
 
     def draw(self, node: int, epoch: int, count: int):
-        lanes = _sample_lanes(self.seed, node, epoch)
-        return self.draw_rows([count], lambda k: [lanes(k)])
+        return self._draw(count, self.seed, seeding.SAMPLES, node, epoch)
 
     def holdout(self, count: int):
-        return self.draw_with(
-            seeding.substream(self.seed, seeding.HOLDOUT, 0),
-            seeding.substream(self.seed, seeding.HOLDOUT, 1),
-            count,
-        )
+        return self._draw(count, self.seed, seeding.HOLDOUT)
 
     def _logits(self, weights, x) -> np.ndarray:
         """Row k's class scores under ``weights``, shaped (classes, feat_dim) or one such per row.
@@ -241,11 +222,8 @@ class MulticlassLogisticObjective(_RowModel):
         log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
         return log_probs
 
-    def sample_loss(self, w, x, y) -> float:
-        weights = np.asarray(w, dtype=float).reshape(self.classes, self.feat_dim)
-        return float(-self._log_probs(weights, np.asarray(x, float)[None, :])[0, int(y)])
-
     def sample_grad(self, w, x, y) -> np.ndarray:
+        """One sample's gradient, the per-sample reference the tests check the row kernel against."""
         weights = np.asarray(w, dtype=float).reshape(self.classes, self.feat_dim)
         x = np.asarray(x, dtype=float)
         probs = np.exp(self._log_probs(weights, x[None, :])[0])
@@ -320,18 +298,16 @@ def gradient_variance_at(model, w, sample_count: int, seed: int) -> float:
     """Monte-Carlo estimate of E||grad f(w, x) - grad F(w)||^2 at a fixed ``w``."""
     if sample_count < 2:
         raise ValueError("need at least 2 samples to estimate a variance")
-    rng_a = seeding.substream(seed, seeding.PROBES, 0)
-    rng_b = seeding.substream(seed, seeding.PROBES, 1)
-    x, y = model.draw_with(rng_a, rng_b, sample_count)
-    w = np.asarray(w, dtype=float)
-    grads = np.stack([model.sample_grad(w, x[i], y[i]) for i in range(sample_count)])
+    x, y = model._draw(sample_count, seed, seeding.PROBES)
+    grads = model.loss_and_grad_rows(np.asarray(w, dtype=float), x, y, sample_count)[1]
+    grads = grads.reshape(sample_count, model.dim)
     center = np.mean(grads, axis=0)
     return float(np.mean(((grads - center) ** 2).sum(axis=1)))
 
 
-def _norm(v) -> float:
-    """Euclidean norm from a numpy pairwise sum; ``np.linalg.norm(v)`` calls BLAS ``ddot``."""
-    return math.sqrt(float((v * v).sum()))
+def _row_norms(v) -> np.ndarray:
+    """Euclidean row norms from numpy pairwise sums; ``np.linalg.norm`` calls BLAS ``ddot``."""
+    return np.sqrt((v * v).sum(axis=1))
 
 
 def estimate_constants(model, probe_count: int, seed: int, radius: float = 1.0) -> EstimatedConstants:
@@ -350,35 +326,35 @@ def estimate_constants(model, probe_count: int, seed: int, radius: float = 1.0) 
     if probe_count < 2:
         raise ValueError(f"probe_count must be at least 2, got {probe_count}")
     rng = seeding.substream(seed, seeding.PROBES, 2)
-    x, y = model.draw_with(
-        seeding.substream(seed, seeding.PROBES, 3),
-        seeding.substream(seed, seeding.PROBES, 4),
-        probe_count,
-    )
+    x, y = model.draw_rows([probe_count], lambda k: [seeding.substream(seed, seeding.PROBES, 3 + k)])
     dim = model.dim
-    smooth = 0.0
-    lipschitz = 0.0
-    step = 1e-3 * radius
+    points = np.empty((probe_count, dim))
+    shrink = np.empty(probe_count)
+    directions = np.empty((probe_count, dim))
     for i in range(probe_count):
-        w = rng.standard_normal(dim)
-        w *= radius * rng.uniform(0.0, 1.0) ** (1.0 / min(dim, 64)) / _norm(w)
-        g = model.sample_grad(w, x[i], y[i])
-        lipschitz = max(lipschitz, _norm(g))
-        directions = [rng.standard_normal(dim)]
-        feature_dir = np.zeros(dim)
-        flat = np.asarray(x[i], dtype=float).ravel()
-        feature_dir[: flat.size] = flat
-        if _norm(feature_dir) > 0:
-            directions.append(feature_dir)
-        for direction in directions:
-            direction = direction / _norm(direction)
-            g2 = model.sample_grad(w + step * direction, x[i], y[i])
-            smooth = max(smooth, _norm(g2 - g) / step)
-    variance = 0.0
-    for j in range(max(2, probe_count // 8)):
-        w = rng.standard_normal(dim)
-        w *= radius / _norm(w)
-        variance = max(variance, gradient_variance_at(model, w, max(8, probe_count), seed + 7919 * (j + 1)))
+        points[i] = rng.standard_normal(dim)
+        shrink[i] = rng.uniform(0.0, 1.0) ** (1.0 / min(dim, 64))
+        directions[i] = rng.standard_normal(dim)
+    points *= (radius * shrink / _row_norms(points))[:, None]
+    features = np.zeros((probe_count, dim))
+    features[:, : x.shape[1]] = x
+    has_feature = np.flatnonzero(_row_norms(features) > 0)
+    # Each probe's gradient at its point, then at the point moved by ``step``
+    # along the random direction and along the feature direction.
+    rows = np.concatenate([np.arange(probe_count), np.arange(probe_count), has_feature])
+    moves = np.concatenate([directions, features[has_feature]])
+    moves /= _row_norms(moves)[:, None]
+    step = 1e-3 * radius
+    at = points[rows]
+    at[probe_count:] += step * moves
+    grads = model.loss_and_grad_rows(at, x[rows], y[rows], len(rows))[1].reshape(len(rows), dim)
+    base = grads[:probe_count]
+    lipschitz = float(_row_norms(base).max())
+    smooth = float((_row_norms(grads[probe_count:] - base[rows[probe_count:]]) / step).max())
+    centers = rng.standard_normal((max(2, probe_count // 8), dim))
+    centers *= (radius / _row_norms(centers))[:, None]
+    variance = max(gradient_variance_at(model, w, max(8, probe_count), seed + 7919 * j)
+                   for j, w in enumerate(centers, 1))
     return EstimatedConstants(
         grad_smoothness=smooth,
         loss_lipschitz=lipschitz,

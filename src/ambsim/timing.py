@@ -441,8 +441,7 @@ class GroupedPauseTiming:
 
     def mean_window_batch(self, window: float, n: int) -> float:
         """Sum over nodes, in order, of the window divided by the mean time per gradient and pause."""
-        g = self.base_gradient_time
-        return float(sum(window / (g + mean) for mean in self._pause_moments(n)[0].tolist()))
+        return float(np.cumsum(window / (self.base_gradient_time + self._pause_moments(n)[0]))[-1])
 
     def completion_stats(self, counts) -> tuple:
         """Population mean and std of the per-node time for ``counts`` gradients."""

@@ -443,6 +443,10 @@ class TestSubcommands:
                      id="timing.period-1e-300"),
         pytest.param("objective.dim", 2**59, {"objective": SOFTMAX}, id="objective.dim-2**59-softmax"),
         pytest.param("objective.dim", 2**60, {}, id="objective.dim-2**60"),
+        # Addressable, but larger than any host's memory.
+        pytest.param("objective.dim", 2**55, {}, id="objective.dim-2**55"),
+        pytest.param("objective.dim", 2**55, {"objective": {**SOFTMAX, "classes": 2}},
+                     id="objective.dim-2**55-softmax"),
     ])
     def test_invalid_values_name_the_key(self, tmp_path, capsys, key, value, sections):
         path = full_config(tmp_path, tmp_path / "out", **sections)

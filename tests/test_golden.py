@@ -22,6 +22,7 @@ config and prints the whole table.
 
 from __future__ import annotations
 
+import builtins
 import csv
 import hashlib
 import io
@@ -203,8 +204,27 @@ def _no_seed_override(monkeypatch):
     monkeypatch.delenv("AMB_SEED", raising=False)
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_golden_digests(name, tmp_path):
+def neumaier_sum(iterable, start=0):
+    """CPython 3.12's builtin ``sum``, which adds runs of exact floats with Neumaier compensation."""
+    total, compensation = start, 0.0
+    for item in iterable:
+        if type(total) is float and type(item) is float:
+            step = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - step) + item
+            else:
+                compensation += (item - step) + total
+            total = step
+            continue
+        if compensation and math.isfinite(compensation):
+            total += compensation
+        total, compensation = total + item, 0.0
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def check_digests(name, tmp_path):
     files = run_config(name, tmp_path / "out")
     pinned = GOLDEN[name]
     assert sorted(files) == sorted(pinned), f"{name}: wrote {sorted(files)}"
@@ -217,6 +237,25 @@ def test_golden_digests(name, tmp_path):
             f"reference copy of {name}/{fname} does not match its pinned digest"
         drift.append(describe_drift(f"{name}/{fname}", data, reference))
     assert not drift, "\n".join(drift)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_digests(name, tmp_path):
+    check_digests(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", ["paused_compare", "shiftexp_compare"])
+def test_compare_digests_hold_under_the_compensated_sum(name, tmp_path, monkeypatch):
+    # compare.csv's S_A, S_F and ratio are sums of epoch compute times; they
+    # must not move with the builtin ``sum`` that Python 3.12 changed.
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    check_digests(name, tmp_path)
+
+
+def test_neumaier_sum_compensates_floats_only():
+    assert neumaier_sum([0.1] * 10) == 1.0
+    assert neumaier_sum([1e100, 1.0, -1e100]) == 1.0
+    assert neumaier_sum(range(5), 10) == 20 and type(neumaier_sum(range(5))) is int
 
 
 def test_drift_report_names_column_and_difference():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,11 +12,15 @@ def central_difference(model, w, x, y, rel_tol=1e-5):
     w = np.asarray(w, dtype=float)
     grad = model.sample_grad(w, x, y)
     h = 1e-6 * max(1.0, np.linalg.norm(w))
+
+    def loss(at):
+        return model.loss_and_grad_rows(at, x[None, :], np.array([y]), 0)[0][0]
+
     approx = np.zeros_like(grad)
     for k in range(w.size):
         e = np.zeros(w.size)
         e[k] = h
-        approx[k] = (model.sample_loss(w + e, x, y) - model.sample_loss(w - e, x, y)) / (2 * h)
+        approx[k] = (loss(w + e) - loss(w - e)) / (2 * h)
     denom = max(np.linalg.norm(grad), 1e-8)
     assert np.linalg.norm(approx - grad) / denom <= rel_tol
 
@@ -67,6 +72,70 @@ def oracle_grad_mean(model, w, x, y):
     probs = np.exp(oracle_log_probs(model, weights, x))
     probs[np.arange(x.shape[0]), y] -= 1.0
     return (probs[:, :, None] * x[:, None, :]).mean(axis=0).reshape(model.dim)
+
+
+def loop_gradient_variance_at(model, w, sample_count, seed):
+    """The per-sample ``sample_grad`` loop that ``gradient_variance_at`` replaced."""
+    x, y = model.draw_rows([sample_count], lambda k: [seeding.substream(seed, seeding.PROBES, k)])
+    w = np.asarray(w, dtype=float)
+    grads = np.stack([model.sample_grad(w, x[i], y[i]) for i in range(sample_count)])
+    center = np.mean(grads, axis=0)
+    return float(np.mean(((grads - center) ** 2).sum(axis=1)))
+
+
+def loop_estimate_constants(model, probe_count, seed, radius):
+    """The per-probe ``sample_grad`` loop that ``estimate_constants`` replaced."""
+    def norm(v):
+        return math.sqrt(float((v * v).sum()))
+
+    rng = seeding.substream(seed, seeding.PROBES, 2)
+    x, y = model.draw_rows([probe_count],
+                           lambda k: [seeding.substream(seed, seeding.PROBES, 3 + k)])
+    dim = model.dim
+    smooth = 0.0
+    lipschitz = 0.0
+    step = 1e-3 * radius
+    for i in range(probe_count):
+        w = rng.standard_normal(dim)
+        w *= radius * rng.uniform(0.0, 1.0) ** (1.0 / min(dim, 64)) / norm(w)
+        g = model.sample_grad(w, x[i], y[i])
+        lipschitz = max(lipschitz, norm(g))
+        directions = [rng.standard_normal(dim)]
+        feature_dir = np.zeros(dim)
+        flat = np.asarray(x[i], dtype=float).ravel()
+        feature_dir[: flat.size] = flat
+        if norm(feature_dir) > 0:
+            directions.append(feature_dir)
+        for direction in directions:
+            direction = direction / norm(direction)
+            g2 = model.sample_grad(w + step * direction, x[i], y[i])
+            smooth = max(smooth, norm(g2 - g) / step)
+    variance = 0.0
+    for j in range(max(2, probe_count // 8)):
+        w = rng.standard_normal(dim)
+        w *= radius / norm(w)
+        variance = max(variance, loop_gradient_variance_at(model, w, max(8, probe_count),
+                                                           seed + 7919 * (j + 1)))
+    return smooth, lipschitz, variance
+
+
+def csv_softmax(tmp_path):
+    path = tmp_path / "data.csv"
+    rng = np.random.default_rng(8)
+    rows = zip(rng.integers(0, 3, 30).tolist(), rng.integers(0, 256, (30, 4)).tolist())
+    path.write_text("".join(f"{label},{','.join(map(str, px))}\n" for label, px in rows))
+    return objectives.make_logistic_regression(3, 5, seed=9, csv_path=path)
+
+
+ESTIMATOR_MODELS = [
+    *(pytest.param(lambda _, d=d, v=v: objectives.make_linear_regression(d, v, seed=d),
+                   id=f"linear-d{d}-noise{v}")
+      for d in (1, 2, 7, 50, 300) for v in (0.0, 1e-3)),
+    *(pytest.param(lambda _, c=c, f=f: objectives.make_logistic_regression(c, f, seed=c + f),
+                   id=f"softmax-{c}x{f}")
+      for c in (2, 10) for f in (1, 3, 21)),
+    pytest.param(csv_softmax, id="softmax-csv"),
+]
 
 
 class TestLinearRegression:
@@ -288,7 +357,7 @@ class TestMinibatchGradient:
         for (node, epoch), count, (want_x, want_y) in zip(streams, counts, wants):
             got_x, got_y = model.draw(node, epoch, count)
             assert got_x.tobytes() == want_x.tobytes() and got_y.tobytes() == want_y.tobytes()
-        got_x, got_y = model.draw_with(lanes(0, 5)(0), lanes(0, 5)(1), counts[0])
+        got_x, got_y = model.draw_rows([counts[0]], lambda k: [lanes(0, 5)(k)])
         assert got_x.tobytes() == wants[0][0].tobytes()
         assert got_y.tobytes() == wants[0][1].tobytes()
 
@@ -311,8 +380,8 @@ class TestEstimateConstants:
         dim = 200
         model = objectives.make_linear_regression(dim, 0.0, seed=15)
         est = objectives.estimate_constants(model, probe_count=128, seed=21, radius=5.0)
-        x, _ = model.draw_with(
-            np.random.default_rng(1), np.random.default_rng(2), 4096)
+        rngs = np.random.default_rng(1), np.random.default_rng(2)
+        x, _ = model.draw_rows([4096], lambda k: [rngs[k]])
         oracle = float(np.mean((x * x).sum(axis=1)))
         assert oracle <= est.grad_smoothness <= 1.6 * oracle
 
@@ -344,3 +413,40 @@ class TestEstimateConstants:
         model = objectives.make_linear_regression(3, 0.1, seed=19)
         with pytest.raises(ValueError):
             objectives.estimate_constants(model, probe_count=1, seed=6)
+
+    @pytest.mark.parametrize("make", ESTIMATOR_MODELS)
+    def test_match_the_per_sample_loops_bit_for_bit(self, make, tmp_path):
+        model = make(tmp_path)
+        cases = itertools.product((2, 9, 48, 64), (0, 17, 2**40 + 7))
+        for (probes, seed), radius in zip(cases, itertools.cycle((0.5, 1.0, 5.0))):
+            est = objectives.estimate_constants(model, probes, seed, radius)
+            got = (est.grad_smoothness, est.loss_lipschitz, est.grad_variance)
+            want = loop_estimate_constants(model, probes, seed, radius)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (probes, seed, radius)
+            w = radius * np.random.default_rng(probes).standard_normal(model.dim)
+            got = objectives.gradient_variance_at(model, w, probes + 2, seed)
+            want = loop_gradient_variance_at(model, w, probes + 2, seed)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (probes, seed)
+
+
+class TestSampleLanes:
+    @pytest.mark.parametrize("model, lanes", [
+        (objectives.make_linear_regression(4, 0.0, seed=3), [0]),
+        (objectives.make_linear_regression(4, 0.1, seed=3), [0, 1]),
+        (objectives.make_logistic_regression(3, 4, seed=3), [0, 1]),
+        (objectives.MulticlassLogisticObjective(
+            3, 5, seed=3, data=(np.ones((6, 5)), np.arange(6) % 3)), [0]),
+    ], ids=["linear-noise-free", "linear", "softmax", "softmax-data"])
+    def test_draws_build_only_the_lanes_they_read(self, monkeypatch, model, lanes):
+        built = []
+        substream = seeding.substream
+
+        def spy(seed, *path):
+            built.append(path)
+            return substream(seed, *path)
+
+        monkeypatch.setattr(seeding, "substream", spy)
+        model.holdout(5)
+        model.draw(2, 3, 5)
+        assert built == ([(seeding.HOLDOUT, k) for k in lanes]
+                         + [(seeding.SAMPLES, 2, 3, k) for k in lanes])

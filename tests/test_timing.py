@@ -1,9 +1,11 @@
+import builtins
 import math
 
 import numpy as np
 import pytest
 
 from ambsim import seeding, timing
+from test_golden import neumaier_sum
 
 
 def harmonic(n):
@@ -267,16 +269,20 @@ def loop_completion_stats(model, counts):
 
 
 def loop_mean_window_batch(model, window, n):
-    """The per-node sum the pause model's ``mean_window_batch`` replaced."""
-    def mean_pause(node):
+    """The per-node sum the pause model's ``mean_window_batch`` replaced, added in node order."""
+    total = 0.0
+    for node in range(n):
         j = model.assignment[node]
-        return timing._clipped_normal_moments(model.group_means[j], model.group_vars[j])[0]
-    return float(sum(window / (model.base_gradient_time + mean_pause(i)) for i in range(n)))
+        pause = timing._clipped_normal_moments(model.group_means[j], model.group_vars[j])[0]
+        total += window / (model.base_gradient_time + pause)
+    return total
 
 
 class TestPauseMoments:
-    def test_match_the_per_node_loops_bit_for_bit(self):
+    def test_match_the_per_node_loops_bit_for_bit(self, monkeypatch):
         # Zero counts, groups of variance 0 and negative group means all occur.
+        # The "auto" work scale must also hold under the builtin ``sum`` of
+        # Python 3.12, which adds floats with compensation.
         rng = np.random.default_rng(12)
         for trial in range(400):
             groups = int(rng.integers(1, 6))
@@ -291,8 +297,11 @@ class TestPauseMoments:
                     == np.array(loop_completion_stats(model, counts)).tobytes())
             window = float(rng.uniform(0.1, 1e4))
             for nodes in (1, n):
-                assert (np.float64(model.mean_window_batch(window, nodes)).tobytes()
-                        == np.float64(loop_mean_window_batch(model, window, nodes)).tobytes())
+                want = np.float64(loop_mean_window_batch(model, window, nodes)).tobytes()
+                assert np.float64(model.mean_window_batch(window, nodes)).tobytes() == want
+                with monkeypatch.context() as patch:
+                    patch.setattr(builtins, "sum", neumaier_sum)
+                    assert np.float64(model.mean_window_batch(window, nodes)).tobytes() == want
 
     def test_variance_0_groups_by_hand(self):
         # Group 0's negative mean clips to no pause at all.
