@@ -322,9 +322,8 @@ def _resolve_compute_time(spec, graph, tmodel):
 def _resolve_schedule(spec, model, graph, tmodel, radius, compute_time, mode) -> dualavg.Schedule:
     offset = spec.schedule["offset"]
     if offset == "auto":
-        est = objectives.estimate_constants(model, probe_count=48,
-                                            seed=model.seed + 1_000_003, radius=radius)
-        offset = est.grad_smoothness
+        # The smoothness estimate of estimate_constants, without its variance probes.
+        offset = objectives._probe_slopes(model, 48, model.seed + 1_000_003, radius)[0]
     scale = spec.schedule["work_scale"]
     if scale == "auto":
         if mode == "fmb":

@@ -156,7 +156,9 @@ class EpochRecord:
     finishing time in fixed-batch mode. ``consensus_error`` is the worst
     node's distance to the error-free dual update. ``loss_sum_processed``
     sums losses over each node's processed samples; ``loss_sum_potential``
-    extends the sum over the extra-capacity samples.
+    extends the sum over the extra-capacity samples when the objective
+    knows its optimum value, and is NaN otherwise, since only the regret
+    series reads it and the run then neither draws nor scores those samples.
     """
 
     epoch: int
@@ -310,13 +312,19 @@ def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
     sums then reduce its own rows alone, so every bit is that of a pass
     over the node's samples on their own. Gradient rows of nodes without a
     batch stay zero.
+
+    Only the regret series reads the extra-capacity losses, and only when
+    the model knows its optimum value. Without one, each node draws and
+    scores its b_i batch samples alone, and every potential loss sum is NaN.
     """
     n = config.graph.n
     model = config.objective
     grads = np.zeros_like(state.primal)
     loss_b = np.zeros(n)
     loss_c = np.zeros(n)
-    counts, batches = (batch_sizes + extra).tolist(), batch_sizes.tolist()
+    potential = getattr(model, "optimum_value", None) is not None
+    counts = (batch_sizes + extra if potential else batch_sizes).tolist()
+    batches = batch_sizes.tolist()
     for nodes in _chunks(counts, max(1, CHUNK_VALUES // model.dim)):
         sizes, batch = [counts[i] for i in nodes], [batches[i] for i in nodes]
         x, y = model.draw_rows(sizes, streams.lanes(nodes, t))
@@ -338,6 +346,8 @@ def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
         # Free this chunk's arrays before the next chunk allocates its own.
         del x, y, w, losses, rows, sums
     grads /= np.maximum(batch_sizes, 1)[:, None]
+    if not potential:
+        loss_c[:] = np.nan
     return grads, loss_b, loss_c
 
 

@@ -90,8 +90,10 @@ def empirical_regret(records, optimum_value: float) -> RegretSeries:
     The regret after ``t`` epochs is the sum of recorded per-sample
     losses up to ``t`` minus the number of samples times the optimum
     objective value, in both the processed and the potential-work
-    accounting. Every run evaluates the losses of its extra-capacity
-    samples, so the potential series sums recorded losses too.
+    accounting. A run whose objective knows its optimum value evaluates
+    the losses of its extra-capacity samples, so the potential series sums
+    recorded losses too; a run without one records NaN potential sums,
+    and :func:`build_trace` builds no regret series for it.
     """
     loss_b = np.cumsum([np.sum(r.loss_sum_processed) for r in records])
     loss_c = np.cumsum([np.sum(r.loss_sum_potential) for r in records])

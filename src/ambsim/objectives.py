@@ -12,7 +12,10 @@ scores many nodes at once.
 
 All batch reductions use elementwise products followed by numpy sums (no
 BLAS): pairwise along a row, in row order down a column. So results are
-bit-stable across hosts with different threading configurations.
+bit-stable across hosts with different threading configurations. Softmax
+class scores are summed class-major, one feature's slab of scores at a
+time, in the order numpy's pairwise sum adds a row, so each score has the
+bits of the row reduction it replaces.
 """
 
 from __future__ import annotations
@@ -37,6 +40,17 @@ __all__ = [
 ]
 
 
+# Softmax class scores are summed over blocks of rows whose (classes, rows)
+# slab holds about this many scores. A block's two eight-slab buffers, 256 KiB
+# each, stay in a core's cache and do not grow with the row count.
+_SLAB_VALUES = 2**12
+
+# Slab positions of one group of eight terms: position p holds term
+# _BIT_REVERSED[p], so each level of the pairwise tree adds the back half of
+# the running sums to the front half, in one call on contiguous slabs.
+_BIT_REVERSED = (0, 4, 2, 6, 1, 5, 3, 7)
+
+
 def _normals_into(out: np.ndarray, counts, rngs) -> np.ndarray:
     """Stream j's first standard normals into slice j of ``out``; slice j has ``counts[j]`` rows."""
     end = 0
@@ -51,6 +65,51 @@ class EstimatedConstants:
     grad_smoothness: float
     loss_lipschitz: float
     grad_variance: float
+
+
+def _pairwise(products, start: int, count: int, sums, scratch) -> np.ndarray:
+    """Slabs ``start`` to ``start + count - 1`` added in numpy's ``pairwise_sum`` order.
+
+    ``products(i, k, out)`` returns slabs ``i..i+k-1``, each whole group of
+    eight in ``_BIT_REVERSED`` order, written into ``out[:k]`` or in an
+    array of its own; the sums overwrite the first slabs it returns. ``sums``
+    and ``scratch`` are the ``out`` arrays, eight slabs each.
+
+    As numpy adds a contiguous row of terms: fewer than 8 are added in
+    sequence; up to 128 go to 8 running sums, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before the remaining terms are
+    added in order; more are split at ``count//2 - (count//2) % 8`` and each
+    half is added so. ``np.add.reduce`` also starts from 0.0, so a caller
+    adds 0.0 to the result to get its bits. The sign of a zero term can
+    change only the sign of a zero sum, which that 0.0 then clears.
+    """
+    if count < 8:
+        terms = products(start, count, sums)
+        for term in terms[1:]:
+            terms[0] += term
+        return terms[0]
+    if count <= 128:
+        sums = products(start, 8, sums)
+        end = start + count - count % 8
+        for i in range(start + 8, end, 8):
+            sums += products(i, 8, scratch)
+        sums[:4] += sums[4:]
+        sums[:2] += sums[2:4]
+        sums[0] += sums[1]
+        if count % 8:
+            for term in products(end, count % 8, scratch):
+                sums[0] += term
+        return sums[0]
+    half = count // 2 - (count // 2) % 8
+    front = _pairwise(products, start, half, sums, scratch).copy()
+    return np.add(front, _pairwise(products, start + half, count - half, sums, scratch), out=front)
+
+
+def _term_order(count: int) -> np.ndarray:
+    """The term at each slab position that :func:`_pairwise` expects over ``count`` terms."""
+    whole = count - count % 8
+    groups = np.arange(0, whole, 8)[:, None] + np.array(_BIT_REVERSED)
+    return np.concatenate([groups.ravel(), np.arange(whole, count)])
 
 
 class _RowModel:
@@ -162,6 +221,8 @@ class MulticlassLogisticObjective(_RowModel):
         self.classes = int(classes)
         self.feat_dim = int(feat_dim)
         self.dim = self.classes * self.feat_dim
+        self._feature_order = _term_order(self.feat_dim)
+        self._class_order = _term_order(self.classes)
         self.seed = int(seed)
         if data is None:
             rng = seeding.substream(seed, seeding.MODEL)
@@ -205,28 +266,61 @@ class MulticlassLogisticObjective(_RowModel):
         return self._draw(count, self.seed, seeding.HOLDOUT)
 
     def _logits(self, weights, x) -> np.ndarray:
-        """Row k's class scores under ``weights``, shaped (classes, feat_dim) or one such per row.
+        """Class scores under ``weights``, shaped (classes, feat_dim) or one such per row.
 
-        One product buffer serves every class.
+        The scores are class-major: element (c, k) is row k's score for
+        class c. Feature f gives the (classes, rows) slab of products
+        ``weights[..., f] * x[:, f]``, eight features per call, and
+        :func:`_pairwise` adds the slabs, so each score has the bits of
+        ``np.add.reduce(weights[..., c, :] * x[k])``. Rows go in blocks of
+        about ``_SLAB_VALUES`` scores.
         """
-        logits = np.empty((x.shape[0], self.classes))
-        products = np.empty_like(x)
-        for cls in range(self.classes):
-            np.multiply(x, weights[..., cls, :], out=products)
-            np.add.reduce(products, axis=1, out=logits[:, cls])
+        rows, classes = x.shape[0], self.classes
+        order = self._feature_order
+        shared = weights.ndim == 2
+        if shared:
+            wt = weights[:, order].T
+        # einsum writes these broadcast products faster than np.multiply,
+        # which slows down when a broadcast operand's inner axis is short. It
+        # may give 0.0 for a -0.0 product, which changes no score (see _pairwise).
+        spec = "fc,fb->fcb" if shared else "fcb,fb->fcb"
+        step = max(1, _SLAB_VALUES // classes)
+        scratch = np.empty((2, 8 * classes * min(step, rows)))
+        logits = np.empty((classes, rows))
+        for start in range(0, rows, step):
+            block = slice(start, start + step)
+            xt = x[block].T[order]
+            if not shared:
+                wt = weights[block][:, :, order].transpose(2, 1, 0)
+            shape = (8, classes, xt.shape[1])
+            sums, spare = scratch[:, : math.prod(shape)].reshape(2, *shape)
+
+            def products(i, k, out):
+                return np.einsum(spec, wt[i:i + k], xt[i:i + k], out=out[:k])
+
+            total = _pairwise(products, 0, self.feat_dim, sums, spare)
+            total += 0.0  # np.add.reduce starts from 0.0
+            logits[:, block] = total
         return logits
 
     def _log_probs(self, weights, x) -> np.ndarray:
+        """Class-major log-probabilities, with the bits of a row-by-row softmax.
+
+        The max over classes is exact in any order, and :func:`_pairwise`
+        adds the exponentials as numpy reduces a row.
+        """
         log_probs = self._logits(weights, x)
-        log_probs -= log_probs.max(axis=1, keepdims=True)
-        log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+        log_probs -= log_probs.max(axis=0)
+        exps = np.exp(log_probs[self._class_order])
+        total = _pairwise(lambda i, k, out: exps[i:i + k], 0, self.classes, None, None)
+        log_probs -= np.log(total + 0.0)
         return log_probs
 
     def sample_grad(self, w, x, y) -> np.ndarray:
         """One sample's gradient, the per-sample reference the tests check the row kernel against."""
         weights = np.asarray(w, dtype=float).reshape(self.classes, self.feat_dim)
         x = np.asarray(x, dtype=float)
-        probs = np.exp(self._log_probs(weights, x[None, :])[0])
+        probs = np.exp(self._log_probs(weights, x[None, :])[:, 0])
         probs[int(y)] -= 1.0
         return (probs[:, None] * x[None, :]).reshape(self.dim)
 
@@ -240,9 +334,13 @@ class MulticlassLogisticObjective(_RowModel):
         w = np.asarray(w, dtype=float)
         weights = w.reshape(*w.shape[:-1], self.classes, self.feat_dim)
         log_probs = self._log_probs(weights, x)
-        probs = np.exp(log_probs[:count])
-        probs[np.arange(count), y[:count]] -= 1.0
-        return -log_probs[np.arange(x.shape[0]), y], probs[:, :, None] * x[:count, None, :]
+        rows = np.arange(x.shape[0])
+        probs = np.exp(log_probs[:, :count])
+        probs[y[:count], rows[:count]] -= 1.0
+        # C order, so that the engine's sums down the first axis add rows in order.
+        grads = np.empty((count, self.classes, self.feat_dim))
+        np.multiply(probs.T[:, :, None], x[:count, None, :], out=grads)
+        return -log_probs[y, rows], grads
 
     def loss_batch(self, w, x, y) -> np.ndarray:
         return self.loss_and_grad(w, x, y, 0)[0]
@@ -310,18 +408,12 @@ def _row_norms(v) -> np.ndarray:
     return np.sqrt((v * v).sum(axis=1))
 
 
-def estimate_constants(model, probe_count: int, seed: int, radius: float = 1.0) -> EstimatedConstants:
-    """Probe-based estimates of the model's regularity constants.
+def _probe_slopes(model, probe_count: int, seed: int, radius: float):
+    """The smoothness and Lipschitz estimates of :func:`estimate_constants`.
 
-    Gradient smoothness is the largest observed ratio
-    ``||grad f(w, x) - grad f(w', x)|| / ||w - w'||`` over probe pairs;
-    pairs are taken both in random directions and along each probe
-    sample's own feature direction, which is where curvature peaks for
-    linear models. The loss Lipschitz estimate is the largest gradient
-    norm seen over the probe ball. The variance estimate is the largest
-    per-point gradient variance across probe centers. Estimates are
-    returned to the caller and never overwrite constants already set on
-    the model.
+    Returns ``(smoothness, lipschitz, rng)``, where ``rng`` is the probe
+    generator after the draws these estimates take, from which
+    :func:`estimate_constants` goes on to draw its variance probe centers.
     """
     if probe_count < 2:
         raise ValueError(f"probe_count must be at least 2, got {probe_count}")
@@ -351,7 +443,24 @@ def estimate_constants(model, probe_count: int, seed: int, radius: float = 1.0) 
     base = grads[:probe_count]
     lipschitz = float(_row_norms(base).max())
     smooth = float((_row_norms(grads[probe_count:] - base[rows[probe_count:]]) / step).max())
-    centers = rng.standard_normal((max(2, probe_count // 8), dim))
+    return smooth, lipschitz, rng
+
+
+def estimate_constants(model, probe_count: int, seed: int, radius: float = 1.0) -> EstimatedConstants:
+    """Probe-based estimates of the model's regularity constants.
+
+    Gradient smoothness is the largest observed ratio
+    ``||grad f(w, x) - grad f(w', x)|| / ||w - w'||`` over probe pairs;
+    pairs are taken both in random directions and along each probe
+    sample's own feature direction, which is where curvature peaks for
+    linear models. The loss Lipschitz estimate is the largest gradient
+    norm seen over the probe ball. The variance estimate is the largest
+    per-point gradient variance across probe centers. Estimates are
+    returned to the caller and never overwrite constants already set on
+    the model.
+    """
+    smooth, lipschitz, rng = _probe_slopes(model, probe_count, seed, radius)
+    centers = rng.standard_normal((max(2, probe_count // 8), model.dim))
     centers *= (radius / _row_norms(centers))[:, None]
     variance = max(gradient_variance_at(model, w, max(8, probe_count), seed + 7919 * j)
                    for j, w in enumerate(centers, 1))

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ambsim import cli, timing
+from ambsim import cli, objectives, timing
+from test_objectives import loop_estimate_constants
 
 TIMING_TRACE = Path(__file__).parent / "golden" / "timing_trace.csv"
 
@@ -349,6 +350,41 @@ class TestAutoResolution:
         config = cli.build_run_config(cli.parse_config(path), seed=1)
         assert config.compute_time == compute_time
         assert config.schedule.work_scale == work_scale
+
+
+    @pytest.mark.parametrize("objective", [
+        {"kind": "linear_regression", "dim": 6, "noise_var": 0.01, "seed": 2},
+        {"kind": "logistic_regression", "classes": 3, "dim": 5, "seed": 4},
+    ], ids=["linear", "softmax"])
+    def test_auto_offset_runs_no_variance_probe(self, tmp_path, monkeypatch, objective):
+        # The offset is estimate_constants' smoothness, bit for bit, but
+        # resolving it must not pay for the variance probes it never reads.
+        payload = {
+            "mode": "amb",
+            "objective": objective,
+            "topology": {"kind": "complete", "n": 3},
+            "schedule": {"offset": "auto", "work_scale": 100.0},
+            "run": {"tau": 1, "compute_time": 2.0, "radius": 4.0, "seed": 1},
+        }
+        path = tmp_path / "auto.json"
+        path.write_text(json.dumps(payload))
+        spec = cli.parse_config(path)
+        calls = []
+        probe = objectives.gradient_variance_at
+
+        def spy(*args):
+            calls.append(args)
+            return probe(*args)
+
+        monkeypatch.setattr(objectives, "gradient_variance_at", spy)
+        config = cli.build_run_config(spec, seed=1)
+        assert calls == []
+        model = config.objective
+        seed = model.seed + 1_000_003
+        objectives.estimate_constants(model, probe_count=48, seed=seed, radius=4.0)
+        assert len(calls) == 6
+        want = loop_estimate_constants(model, 48, seed, 4.0)[0]
+        assert config.schedule.offset.hex() == want.hex()
 
 
 class TestSubcommands:

@@ -222,7 +222,10 @@ class TestGradientsAndLosses:
         # separate draw, loss and gradient passes as the oracle. Node 1 has
         # b = 0 < a, nodes 3 and 7 have b = a = 0, node 4 has more rows than
         # a chunk holds, nodes 5 and 6 fill a chunk exactly, and node 12 is
-        # a chunk alone with no batch.
+        # a chunk alone with no batch. A softmax model has no known optimum,
+        # so its extra-capacity rows are never drawn and its potential loss
+        # sums are NaN; its batch rows are still the first b_i of each
+        # node's b_i + a_i oracle rows.
         model = make_model(tmp_path)
         cap = engine.CHUNK_VALUES // model.dim
         b = np.array([5, 0, 1, 0, cap + 3, cap // 2, cap - cap // 2 - 4, 0, 2, 9, 3, 0, 0])
@@ -252,8 +255,35 @@ class TestGradientsAndLosses:
                 want_grads[i] = oracle_grad_mean(model, w, x[: b[i]], y[: b[i]])
         assert grads.tobytes() == want_grads.tobytes()
         assert loss_b.tobytes() == want_b.tobytes()
-        assert loss_c.tobytes() == want_c.tobytes()
-        assert not grads[[1, 3, 7, 11, 12]].any() and not loss_c[[3, 7]].any()
+        assert not grads[[1, 3, 7, 11, 12]].any() and not loss_b[[1, 3, 7, 11, 12]].any()
+        if model.optimum_value is None:
+            assert np.isnan(loss_c).all()
+        else:
+            assert loss_c.tobytes() == want_c.tobytes()
+            assert not loss_c[[3, 7]].any()
+
+    @pytest.mark.parametrize("model", [
+        objectives.make_linear_regression(6, 1e-2, seed=3),
+        objectives.make_logistic_regression(3, 4, seed=5),
+    ], ids=["linear", "softmax"])
+    def test_extra_capacity_rows_are_drawn_only_with_a_known_optimum(self, model,
+                                                                     monkeypatch):
+        drawn = []
+        draw_rows = model.draw_rows
+
+        def spy(counts, lanes):
+            drawn.extend(counts)
+            return draw_rows(counts, lanes)
+
+        monkeypatch.setattr(model, "draw_rows", spy)
+        trace = engine.run(small_config(objective=model, tau=4))
+        assert all(r.extra_capacity.any() for r in trace.records)
+        if model.optimum_value is None:
+            rows = [r.batch_sizes for r in trace.records]
+            assert all(np.isnan(r.loss_sum_potential).all() for r in trace.records)
+        else:
+            rows = [r.batch_sizes + r.extra_capacity for r in trace.records]
+        assert drawn == [count for r in rows for count in r.tolist() if count]
 
 
 class TestWallClock:

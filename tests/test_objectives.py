@@ -44,13 +44,34 @@ def oracle_draw(model, lanes, count):
     return x, labels
 
 
-def oracle_log_probs(model, weights, x):
-    """Softmax log-probabilities from one product per class, with new arrays at each step."""
+def oracle_logits(model, weights, x):
+    """Row-major class scores from the per-class loop that the class-major kernel replaced.
+
+    ``weights`` is (classes, feat_dim) or one such per row; each score is
+    one ``np.add.reduce`` over its row of products.
+    """
     logits = np.empty((x.shape[0], model.classes))
+    products = np.empty_like(x)
     for cls in range(model.classes):
-        logits[:, cls] = (x * weights[cls]).sum(axis=1)
+        np.multiply(x, weights[..., cls, :], out=products)
+        np.add.reduce(products, axis=1, out=logits[:, cls])
+    return logits
+
+
+def oracle_log_probs(model, weights, x):
+    """Row-major softmax log-probabilities, with new arrays at each step."""
+    logits = oracle_logits(model, weights, x)
     stable = logits - logits.max(axis=1, keepdims=True)
     return stable - np.log(np.exp(stable).sum(axis=1, keepdims=True))
+
+
+def oracle_rows(model, w, x, y, count):
+    """Per-row losses and the first ``count`` gradient rows, from the row-major oracle."""
+    weights = w.reshape(*w.shape[:-1], model.classes, model.feat_dim)
+    log_probs = oracle_log_probs(model, weights, x)
+    probs = np.exp(log_probs[:count])
+    probs[np.arange(count), y[:count]] -= 1.0
+    return -log_probs[np.arange(len(x)), y], probs[:, :, None] * x[:count, None, :]
 
 
 def oracle_loss_batch(model, w, x, y):
@@ -302,7 +323,7 @@ class TestMinibatchGradient:
             x = rng.standard_normal((rows, feat))
             y = rng.integers(0, classes, rows)
             w = rng.standard_normal(model.dim)
-            probs = np.exp(model._log_probs(w.reshape(classes, feat), x))
+            probs = np.exp(model._log_probs(w.reshape(classes, feat), x).T)
             probs[np.arange(rows), y] -= 1.0
             oracle = np.empty((classes, feat))
             for cls in range(classes):
@@ -369,6 +390,64 @@ class TestMinibatchGradient:
         got = model.grad_mean(np.ones(model.dim), x, y)
         assert got.shape == (model.dim,)
         assert got.tobytes() == np.zeros(model.dim).tobytes()
+
+
+def spread(rng, shape):
+    """Normals scaled over 12 orders of magnitude, with zeros of both signs among them."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    values[rng.random(shape) < 0.1] = -0.0
+    return values
+
+
+class TestClassMajorKernel:
+    @pytest.mark.parametrize("into_out", [True, False], ids=["written-into-out", "own-array"])
+    def test_pairwise_adds_slabs_as_numpy_reduces_a_row(self, into_out):
+        # Rows of 1 to 300 terms and longer ones that split more than once;
+        # the first rows hold only -0.0, whose sum the 0.0 start clears.
+        rng = np.random.default_rng(5)
+        for count in [*range(1, 301), 511, 512, 513, 1025]:
+            terms = spread(rng, (4, 3, count))
+            terms[0] = -0.0
+            want = np.add.reduce(terms, axis=-1)
+            slabs = np.moveaxis(terms, -1, 0)[objectives._term_order(count)]
+            sums, scratch = np.empty((2, 8, 4, 3))
+
+            def products(i, k, out):
+                if not into_out:
+                    return slabs[i:i + k]
+                out[:k] = slabs[i:i + k]
+                return out[:k]
+
+            got = objectives._pairwise(products, 0, count, sums, scratch) + 0.0
+            assert got.tobytes() == want.tobytes(), count
+
+    @pytest.mark.parametrize("feat_dim", [1, 2, 7, 8, 9, 16, 17, 21, 128, 129, 300, 785])
+    def test_matches_the_per_class_loop_bit_for_bit(self, feat_dim):
+        # Row counts straddle the kernel's row blocks. Gradient rows are not
+        # blocked, so at most 100 are asked for, and one weight vector per
+        # row is left out above 2**21 weights, for memory.
+        rng = np.random.default_rng(feat_dim)
+        for classes in (2, 3, 10):
+            model = objectives.make_logistic_regression(classes, feat_dim, seed=classes)
+            block = objectives._SLAB_VALUES // classes
+            for rows in (1, block - 1, block, block + 1, 3000):
+                x = spread(rng, (rows, feat_dim))
+                y = rng.integers(0, classes, rows)
+                count = min(rows, 100)
+                shapes = [(model.dim,)] + ([(rows, model.dim)] if rows * model.dim <= 2**21 else [])
+                for shape in shapes:
+                    w = spread(rng, shape)
+                    weights = w.reshape(*shape[:-1], classes, feat_dim)
+                    case = (classes, rows, shape)
+                    want = oracle_logits(model, weights, x).T
+                    assert model._logits(weights, x).tobytes() == want.tobytes(), case
+                    losses, grads = model.loss_and_grad_rows(w, x, y, count)
+                    want_losses, want_grads = oracle_rows(model, w, x, y, count)
+                    assert losses.tobytes() == want_losses.tobytes(), case
+                    assert grads.tobytes() == want_grads.tobytes(), case
+                    if len(shape) == 1:
+                        assert model.loss_batch(w, x, y).tobytes() == want_losses.tobytes(), case
 
 
 class TestEstimateConstants:
