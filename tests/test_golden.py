@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of the CSV files that seven small experiments write.
+"""Pinned SHA-256 digests of the CSV files that eight small experiments write.
 
 A change that claims to keep outputs must leave every digest in place; a
 change that moves one must say why in CHANGES.md. When a digest moves, the
@@ -11,8 +11,11 @@ messages, a paired ``compare`` with grouped-pause timing, a paired ``compare``
 with shifted-exponential timing and a matched ``"auto"`` compute window (the
 linear-progress completion statistics and speedup bound), a 30-node ring with
 per-node ``["uniform", 3, 8]`` round counts, ``"exact"`` rounds in
-fixed-batch mode, ``serial`` mode, and fixed-batch mode replaying per-node
-batch times from ``tests/golden/timing_trace.csv``.
+fixed-batch mode, ``serial`` mode, fixed-batch mode replaying per-node
+batch times from ``tests/golden/timing_trace.csv``, and a softmax run at the
+paper's MNIST shape (10 classes of 785 weights) on the testbed, whose chunks
+hold several one- and two-row nodes and whose holdout spans two row blocks
+of the softmax kernel.
 
 After a deliberate output change, ``PYTHONPATH=src python tests/test_golden.py
 NAME...`` rewrites the reference copies of the named configs and prints their
@@ -105,6 +108,17 @@ CONFIGS = {
         "run": {"tau": 8, "compute_time": 2.5, "communication_time": 1.0, "radius": 15.0,
                 "seed": 5, "holdout": 200},
     }),
+    "testbed_softmax_wide": ("run", {
+        "mode": "amb",
+        "objective": {"kind": "logistic_regression", "classes": 10, "dim": 785, "seed": 11},
+        "topology": {"kind": "testbed"},
+        "consensus": {"rounds": 3},
+        "timing": {"kind": "shifted_exponential", "rate": 0.6667, "shift": 1.0,
+                   "reference_batch": 1},
+        "schedule": {"offset": 40.0, "work_scale": 10.0},
+        "run": {"tau": 6, "compute_time": 2.5, "communication_time": 1.0, "radius": 10.0,
+                "seed": 7, "holdout": 450},
+    }),
     "trace_fmb": ("run", {
         "mode": "fmb",
         "objective": {"kind": "linear_regression", "dim": 3, "noise_var": 0.001, "seed": 6},
@@ -157,6 +171,11 @@ GOLDEN = {
         "amb_seed21.csv": "94d73b9813ed79c281d25a3e98316e717f36577ac9f7f24fad903641e3783755",
         "amb_seed21_nodes.csv": "9517c9453de4f1e7ce9fe59ba4acab874b3e2eadc34da22cafa9bed9efc30b8c",
         "summary.csv": "97fc9e483eef8dca0e9ff6d09be774a4fc2d8662d25654355ec03bfa960601b2",
+    },
+    "testbed_softmax_wide": {
+        "amb_seed7.csv": "3a7d5516f8d390e2a0d8c08f787547546e0de83bbce23694ffc99406e8b5e2f5",
+        "amb_seed7_nodes.csv": "9aa7362500df11dc3054a636095e12e0c7f376f64ff3bfdea9e1b7d40060122c",
+        "summary.csv": "82d8a9fd9d6593bf25e53012e3fba38ac4336807df10c82ddff089148f090394",
     },
     "trace_fmb": {
         "fmb_seed15.csv": "70f25c874536625c68b9db38703faf4aca28c7931765d58a499129c7bceae62a",
