@@ -13,9 +13,9 @@ scores many nodes at once.
 All batch reductions use elementwise products followed by numpy sums (no
 BLAS): pairwise along a row, in row order down a column. So results are
 bit-stable across hosts with different threading configurations. Softmax
-class scores are summed class-major, one feature's slab of scores at a
-time, in the order numpy's pairwise sum adds a row, so each score has the
-bits of the row reduction it replaces.
+scores own their order instead: each class score adds its feature products
+left to right from 0.0, and the softmax denominator adds the class
+exponentials in class order, so no score depends on how numpy splits a sum.
 """
 
 from __future__ import annotations
@@ -40,15 +40,13 @@ __all__ = [
 ]
 
 
-# Softmax class scores are summed over blocks of rows whose (classes, rows)
-# slab holds about this many scores. A block's two eight-slab buffers, 256 KiB
-# each, stay in a core's cache and do not grow with the row count.
+# Softmax scores are computed for blocks of rows whose (classes, rows) slab
+# holds about this many scores, so that a block's product buffer (1 MiB at 32
+# features per call) stays in a core's cache whatever the row count.
 _SLAB_VALUES = 2**12
 
-# Slab positions of one group of eight terms: position p holds term
-# _BIT_REVERSED[p], so each level of the pairwise tree adds the back half of
-# the running sums to the front half, in one call on contiguous slabs.
-_BIT_REVERSED = (0, 4, 2, 6, 1, 5, 3, 7)
+# Features whose (classes, rows) product slabs one np.einsum call writes.
+_FEATURES_PER_CALL = 32
 
 
 def _normals_into(out: np.ndarray, counts, rngs) -> np.ndarray:
@@ -65,51 +63,6 @@ class EstimatedConstants:
     grad_smoothness: float
     loss_lipschitz: float
     grad_variance: float
-
-
-def _pairwise(products, start: int, count: int, sums, scratch) -> np.ndarray:
-    """Slabs ``start`` to ``start + count - 1`` added in numpy's ``pairwise_sum`` order.
-
-    ``products(i, k, out)`` returns slabs ``i..i+k-1``, each whole group of
-    eight in ``_BIT_REVERSED`` order, written into ``out[:k]`` or in an
-    array of its own; the sums overwrite the first slabs it returns. ``sums``
-    and ``scratch`` are the ``out`` arrays, eight slabs each.
-
-    As numpy adds a contiguous row of terms: fewer than 8 are added in
-    sequence; up to 128 go to 8 running sums, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before the remaining terms are
-    added in order; more are split at ``count//2 - (count//2) % 8`` and each
-    half is added so. ``np.add.reduce`` also starts from 0.0, so a caller
-    adds 0.0 to the result to get its bits. The sign of a zero term can
-    change only the sign of a zero sum, which that 0.0 then clears.
-    """
-    if count < 8:
-        terms = products(start, count, sums)
-        for term in terms[1:]:
-            terms[0] += term
-        return terms[0]
-    if count <= 128:
-        sums = products(start, 8, sums)
-        end = start + count - count % 8
-        for i in range(start + 8, end, 8):
-            sums += products(i, 8, scratch)
-        sums[:4] += sums[4:]
-        sums[:2] += sums[2:4]
-        sums[0] += sums[1]
-        if count % 8:
-            for term in products(end, count % 8, scratch):
-                sums[0] += term
-        return sums[0]
-    half = count // 2 - (count // 2) % 8
-    front = _pairwise(products, start, half, sums, scratch).copy()
-    return np.add(front, _pairwise(products, start + half, count - half, sums, scratch), out=front)
-
-
-def _term_order(count: int) -> np.ndarray:
-    """The term at each slab position that :func:`_pairwise` expects over ``count`` terms."""
-    whole = count - count % 8
-    groups = np.arange(0, whole, 8)[:, None] + np.array(_BIT_REVERSED)
-    return np.concatenate([groups.ravel(), np.arange(whole, count)])
 
 
 class _RowModel:
@@ -221,8 +174,6 @@ class MulticlassLogisticObjective(_RowModel):
         self.classes = int(classes)
         self.feat_dim = int(feat_dim)
         self.dim = self.classes * self.feat_dim
-        self._feature_order = _term_order(self.feat_dim)
-        self._class_order = _term_order(self.classes)
         self.seed = int(seed)
         if data is None:
             rng = seeding.substream(seed, seeding.MODEL)
@@ -269,51 +220,47 @@ class MulticlassLogisticObjective(_RowModel):
         """Class scores under ``weights``, shaped (classes, feat_dim) or one such per row.
 
         The scores are class-major: element (c, k) is row k's score for
-        class c. Feature f gives the (classes, rows) slab of products
-        ``weights[..., f] * x[:, f]``, eight features per call, and
-        :func:`_pairwise` adds the slabs, so each score has the bits of
-        ``np.add.reduce(weights[..., c, :] * x[k])``. Rows go in blocks of
-        about ``_SLAB_VALUES`` scores.
+        class c, the sum from 0.0 of ``weights[..., c, f] * x[k, f]`` with
+        the features added left to right. Rows go in blocks of about
+        ``_SLAB_VALUES`` scores. Per block, one ``np.einsum`` call writes the
+        (classes, rows) product slabs of ``_FEATURES_PER_CALL`` features
+        after slab 0, which holds the running sum, and ``np.add.reduce`` adds
+        the slabs into slab 0 in index order. It keeps that order only because
+        the slabs are C-ordered, so the summed axis is the outer one; over an
+        inner axis numpy adds pairwise.
         """
-        rows, classes = x.shape[0], self.classes
-        order = self._feature_order
+        rows, classes, feat_dim = x.shape[0], self.classes, self.feat_dim
         shared = weights.ndim == 2
-        if shared:
-            wt = weights[:, order].T
         # einsum writes these broadcast products faster than np.multiply,
         # which slows down when a broadcast operand's inner axis is short. It
-        # may give 0.0 for a -0.0 product, which changes no score (see _pairwise).
+        # may give 0.0 for a -0.0 product, which changes no sum from 0.0.
         spec = "fc,fb->fcb" if shared else "fcb,fb->fcb"
         step = max(1, _SLAB_VALUES // classes)
-        scratch = np.empty((2, 8 * classes * min(step, rows)))
+        k = min(_FEATURES_PER_CALL, feat_dim)
+        buffer = np.empty((k + 1) * classes * min(step, rows))
         logits = np.empty((classes, rows))
         for start in range(0, rows, step):
             block = slice(start, start + step)
-            xt = x[block].T[order]
-            if not shared:
-                wt = weights[block][:, :, order].transpose(2, 1, 0)
-            shape = (8, classes, xt.shape[1])
-            sums, spare = scratch[:, : math.prod(shape)].reshape(2, *shape)
-
-            def products(i, k, out):
-                return np.einsum(spec, wt[i:i + k], xt[i:i + k], out=out[:k])
-
-            total = _pairwise(products, 0, self.feat_dim, sums, spare)
-            total += 0.0  # np.add.reduce starts from 0.0
-            logits[:, block] = total
+            xt = np.ascontiguousarray(x[block].T)
+            wt = weights.T if shared else weights[block].transpose(2, 1, 0)
+            terms = buffer[: (k + 1) * classes * xt.shape[1]].reshape(k + 1, classes, -1)
+            terms[0] = 0.0
+            for f in range(0, feat_dim, k):
+                count = min(k, feat_dim - f)
+                np.einsum(spec, wt[f:f + count], xt[f:f + count], out=terms[1:count + 1])
+                np.add.reduce(terms[:count + 1], axis=0, out=terms[0])
+            logits[:, block] = terms[0]
         return logits
 
     def _log_probs(self, weights, x) -> np.ndarray:
-        """Class-major log-probabilities, with the bits of a row-by-row softmax.
-
-        The max over classes is exact in any order, and :func:`_pairwise`
-        adds the exponentials as numpy reduces a row.
-        """
+        """Class-major softmax log-probabilities; the exponentials are added in class order."""
         log_probs = self._logits(weights, x)
         log_probs -= log_probs.max(axis=0)
-        exps = np.exp(log_probs[self._class_order])
-        total = _pairwise(lambda i, k, out: exps[i:i + k], 0, self.classes, None, None)
-        log_probs -= np.log(total + 0.0)
+        exps = np.exp(log_probs)
+        total = exps[0]
+        for row in exps[1:]:
+            total += row
+        log_probs -= np.log(total)
         return log_probs
 
     def sample_grad(self, w, x, y) -> np.ndarray:
