@@ -173,7 +173,7 @@ GOLDEN = {
         "summary.csv": "97fc9e483eef8dca0e9ff6d09be774a4fc2d8662d25654355ec03bfa960601b2",
     },
     "testbed_softmax_wide": {
-        "amb_seed7.csv": "3a7d5516f8d390e2a0d8c08f787547546e0de83bbce23694ffc99406e8b5e2f5",
+        "amb_seed7.csv": "670faac92b7874144345239591a457f578dad93651bcef3df71bcd4626b385ef",
         "amb_seed7_nodes.csv": "9aa7362500df11dc3054a636095e12e0c7f376f64ff3bfdea9e1b7d40060122c",
         "summary.csv": "82d8a9fd9d6593bf25e53012e3fba38ac4336807df10c82ddff089148f090394",
     },
