@@ -488,11 +488,22 @@ def run_experiment(spec: ExperimentSpec) -> int:
     # built once, and a rejected config leaves no output directory.
     configs = {mode: build_run_config(spec, spec.run["seed"], mode) for mode in modes}
     matrix = _mixing_matrix(configs[modes[0]])
+    created = not os.path.isdir(outdir)
     os.makedirs(outdir, exist_ok=True)
     for seed in _seeds(spec):
         traces, ends = {}, {}
         for mode in modes:
-            trace = traces[mode] = engine.run(replace(configs[mode], seed=seed, matrix=matrix))
+            try:
+                trace = traces[mode] = engine.run(replace(configs[mode], seed=seed, matrix=matrix))
+            except MemoryError as exc:
+                if created and not os.listdir(outdir):
+                    os.rmdir(outdir)
+                # The samples a node draws in one epoch: a fixed batch, or as
+                # many as its batch times fit in a window.
+                key = "run.batch" if mode == "fmb" else _LEAST_TIME_KEY.get(
+                    spec.timing["kind"], "run.compute_time")
+                raise ConfigError(f"key '{key}' gives a node more samples in one epoch than "
+                                  f"this host's memory holds ({exc})") from None
             write_trace_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}.csv"))
             write_nodes_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}_nodes.csv"))
             wall, gap, regret = ends[mode] = [column[-1] for column in _series(trace)]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ambsim import cli, objectives, timing
+from ambsim import cli, engine, objectives, timing
 from test_objectives import loop_estimate_constants
 
 TIMING_TRACE = Path(__file__).parent / "golden" / "timing_trace.csv"
@@ -567,6 +567,53 @@ class TestSubcommands:
         assert cli.main(["compare", str(path)]) == 1
         assert "batch" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, sections, failing, key", [
+        ("run", {"mode": "fmb"}, "fmb", "run.batch"),
+        ("run", {}, "amb", "timing.shift"),
+        ("run", {"timing": {"kind": "deterministic", "period": 2.0, "reference_batch": 10}},
+         "amb", "timing.period"),
+        ("compare", {}, "amb", "timing.shift"),
+        ("compare", {}, "fmb", "run.batch"),
+    ], ids=["fmb", "shifted-exponential", "deterministic", "compare-amb", "compare-fmb"])
+    def test_a_run_beyond_host_memory_names_the_key(self, tmp_path, capsys, monkeypatch,
+                                                    command, sections, failing, key):
+        run = engine.run
+
+        def stub(config):
+            if config.mode == failing:
+                raise MemoryError("Unable to allocate 5.33 TiB")
+            return run(config)
+
+        monkeypatch.setattr(engine, "run", stub)
+        outdir = tmp_path / "out"
+        assert cli.main([command, str(full_config(tmp_path, outdir, **sections))]) == 1
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and "5.33 TiB" in err and "Traceback" not in err
+        # A compare writes its fixed-window run's files before the fixed-batch run starts.
+        written = sorted(p.name for p in outdir.iterdir()) if outdir.exists() else None
+        assert written == (["amb_seed21.csv", "amb_seed21_nodes.csv"]
+                           if (command, failing) == ("compare", "fmb") else None)
+
+    def test_a_window_beyond_host_memory_names_the_compute_time(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def stub(config):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(engine, "run", stub)
+        assert cli.main(["run", str(paused_config(tmp_path, tmp_path / "out"))]) == 1
+        assert "key 'run.compute_time'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_memory_error_keeps_an_output_directory_it_did_not_create(self, tmp_path,
+                                                                         monkeypatch):
+        def stub(config):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(engine, "run", stub)
+        (tmp_path / "out").mkdir()
+        assert cli.main(["run", str(full_config(tmp_path, tmp_path / "out"))]) == 1
+        assert (tmp_path / "out").is_dir()
 
     def test_serial_mode_runs_node_zero_of_the_assignment(self, tmp_path):
         path = paused_config(tmp_path, tmp_path / "out")

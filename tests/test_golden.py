@@ -37,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from ambsim import cli
+from ambsim import cli, engine, objectives, timing
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TIMING_TRACE = GOLDEN_DIR / "timing_trace.csv"
@@ -260,6 +260,26 @@ def check_digests(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digests(name, tmp_path):
+    check_digests(name, tmp_path)
+
+
+# Module constants that size chunks, seed blocks, row blocks and buffers, each
+# at its extremes. None of them may move an output bit.
+CONSTANTS = [
+    *((engine, "CHUNK_VALUES", v) for v in (1, 24, 2**30)),
+    *((engine, "BLOCK_ADDRESSES", v) for v in (1, 37)),
+    *((objectives, "_SLAB_VALUES", v) for v in (1, 30)),
+    *((objectives, "_FEATURES_PER_CALL", v) for v in (1, 7, 10**6)),
+    (timing.GroupedPauseTiming, "FIRST_BLOCK", 1),
+]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("owner, constant, value", CONSTANTS,
+                         ids=[f"{c}={v}" for _, c, v in CONSTANTS])
+def test_digests_hold_at_extreme_module_constants(name, owner, constant, value, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.setattr(owner, constant, value)
     check_digests(name, tmp_path)
 
 
