@@ -573,9 +573,13 @@ class TestSubcommands:
         ("run", {}, "amb", "timing.shift"),
         ("run", {"timing": {"kind": "deterministic", "period": 2.0, "reference_batch": 10}},
          "amb", "timing.period"),
+        ("run", {"timing": {"kind": "grouped_pause", "group_means": [5.0], "group_vars": [1.0],
+                            "assignment": [0] * 10, "base_gradient_time": 0.5}},
+         "amb", "run.compute_time"),
         ("compare", {}, "amb", "timing.shift"),
         ("compare", {}, "fmb", "run.batch"),
-    ], ids=["fmb", "shifted-exponential", "deterministic", "compare-amb", "compare-fmb"])
+    ], ids=["fmb", "shifted-exponential", "deterministic", "grouped-pause", "compare-amb",
+            "compare-fmb"])
     def test_a_run_beyond_host_memory_names_the_key(self, tmp_path, capsys, monkeypatch,
                                                     command, sections, failing, key):
         run = engine.run
@@ -594,16 +598,6 @@ class TestSubcommands:
         written = sorted(p.name for p in outdir.iterdir()) if outdir.exists() else None
         assert written == (["amb_seed21.csv", "amb_seed21_nodes.csv"]
                            if (command, failing) == ("compare", "fmb") else None)
-
-    def test_a_window_beyond_host_memory_names_the_compute_time(self, tmp_path, capsys,
-                                                                 monkeypatch):
-        def stub(config):
-            raise MemoryError("out of memory")
-
-        monkeypatch.setattr(engine, "run", stub)
-        assert cli.main(["run", str(paused_config(tmp_path, tmp_path / "out"))]) == 1
-        assert "key 'run.compute_time'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     def test_a_memory_error_keeps_an_output_directory_it_did_not_create(self, tmp_path,
                                                                          monkeypatch):
