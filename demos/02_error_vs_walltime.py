@@ -27,7 +27,7 @@ shared = dict(
     graph=testbed_graph(), objective=model, timing=stragglers,
     schedule=Schedule(offset=80.0, work_scale=float(BATCH)),
     comm_time=1.0, radius=2 * math.sqrt(DIM), seed=11, rounds=5,
-    holdout=2000)
+    holdout=model.holdout(2000))
 TAU = 150
 trace_batch = run(RunConfig(mode="fmb", batch=BATCH, tau=TAU, **shared))
 # Equal epoch count for the like-for-like compute-time ratio.

@@ -27,7 +27,8 @@ print(f"matched compute window: {window:.1f}")
 shared = dict(
     graph=testbed_graph(), objective=model, timing=pauses,
     schedule=Schedule(offset=50.0, work_scale=150.0), comm_time=60.0,
-    radius=2 * math.sqrt(50), seed=3, rounds=5, holdout=1500)
+    radius=2 * math.sqrt(50), seed=3, rounds=5,
+    holdout=model.holdout(1500))
 trace_batch = run(RunConfig(mode="fmb", batch=BATCH, tau=50, **shared))
 # Same wall-time budget: fixed-window epochs are shorter, so more of them fit.
 budget_epochs = math.ceil(float(trace_batch.wall[-1]) / (window + shared["comm_time"]))

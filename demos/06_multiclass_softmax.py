@@ -23,18 +23,17 @@ cfg = RunConfig(
     mode="amb", graph=testbed_graph(), objective=model,
     timing=ShiftedExponential(rate=2 / 3, shift=1.0, reference_batch=80),
     schedule=Schedule(offset=30.0, work_scale=800.0), comm_time=1.0,
-    tau=120, radius=15.0, seed=5, compute_time=2.5, rounds=5, holdout=3000)
+    tau=120, radius=15.0, seed=5, compute_time=2.5, rounds=5, holdout=model.holdout(3000))
 trace = run(cfg)
 # Runs score only the averaged iterate; the worst node is scored here, on request.
-holdout = model.holdout(cfg.holdout)
-worst = worst_node_loss(trace.records, model, holdout)
+worst = worst_node_loss(trace.records, model, cfg.holdout)
 
 print("\n   wall time   holdout cross-entropy   worst node")
 for k in (0, 5, 20, 60, 120):
     print(f"  {trace.error.wall[k]:9.1f}   {trace.error.objective[k]:18.4f}"
           f"   {worst[k]:10.4f}")
 
-x, y = holdout
+x, y = cfg.holdout
 w_final = trace.final_primals.mean(axis=0).reshape(CLASSES, FEATURES)
 logits = np.stack([(x * w_final[c]).sum(axis=1) for c in range(CLASSES)], axis=1)
 accuracy = float((logits.argmax(axis=1) == y).mean())

@@ -338,29 +338,26 @@ _LEAST_TIME_KEY = {"shifted_exponential": "timing.shift", "deterministic": "timi
                    "trace": "timing.path"}
 
 
-def _check_window_rows(spec: ExperimentSpec, model, tmodel, n: int, window: float,
-                       batch_rows: int):
-    """Bound the samples a linear-progress node draws in one epoch.
+def _epoch_rows(spec: ExperimentSpec, mode: str, tmodel, n: int, window: float):
+    """The most samples a node draws in one epoch, and the key that sets most of them.
 
-    Besides its ``batch_rows`` fixed-batch samples, a node fits
-    (window + communication time) * reference_batch / batch time gradients
-    in its compute and communication windows, and its batch time is at
-    least ``tmodel.least_batch_time(n)``. A shift of 0 bounds nothing.
+    In fmb mode a node draws its ceil(batch / n) share. A linear-progress node also
+    fits (window + communication time) * reference_batch / ``least_batch_time(n)``
+    gradients in its open windows. A grouped-pause window's walk cap bounds it.
     """
-    span = window + spec.run["communication_time"]
-    key, least = _LEAST_TIME_KEY[spec.timing["kind"]], tmodel.least_batch_time(n)
-    if span == 0:
-        return
-    if least == 0:
-        raise ConfigError(f"key '{key}' is 0, so a batch time can be arbitrarily short "
-                          "and nothing bounds the samples a node draws in one window; it must "
-                          "be positive when a compute or communication window is open")
-    # A node draws its samples of one epoch as one float64 array.
-    rows = batch_rows + span * spec.timing["reference_batch"] / least
-    if rows * model.dim * 8 > np.iinfo(np.intp).max:
-        raise ConfigError(f"key '{key}' gives a least batch time of {least:g} s, so a node "
-                          f"fits {rows:.3g} gradients of dimension {model.dim} in one epoch's "
-                          f"{span:g} s of windows, more samples than one numpy array can hold")
+    if mode == "fmb" and spec.run["batch"] is None:
+        raise ConfigError("key 'run.batch' is required in fmb mode")
+    share = -(-spec.run["batch"] // n) if mode == "fmb" else 0
+    key, rows = "run.compute_time", 0
+    if spec.timing["kind"] in _LEAST_TIME_KEY:
+        span = window + spec.run["communication_time"]
+        key, least = _LEAST_TIME_KEY[spec.timing["kind"]], tmodel.least_batch_time(n)
+        if span > 0 and least == 0:
+            raise ConfigError(f"key '{key}' is 0, so a batch time can be arbitrarily short "
+                              "and nothing bounds the samples a node draws in one window; it "
+                              "must be positive when a compute or communication window is open")
+        rows = span * spec.timing["reference_batch"] / least if span > 0 else 0
+    return ("run.batch" if mode == "fmb" and share >= rows else key), share + rows
 
 
 def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -> engine.RunConfig:
@@ -378,23 +375,19 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     if spec.timing["kind"] == "trace" and len(tmodel.table) < graph.n:
         raise ConfigError(f"key 'timing.path' has batch times for {len(tmodel.table)} nodes, "
                           f"but the graph has {graph.n} nodes")
-    rows = 0
-    if mode == "fmb":
-        if spec.run["batch"] is None:
-            raise ConfigError("key 'run.batch' is required in fmb mode")
-        # A node draws its ceil(batch / n) samples as one float64 array.
-        rows = -(-spec.run["batch"] // graph.n)
-        if rows * model.dim * 8 > np.iinfo(np.intp).max:
-            raise ConfigError(f"key 'run.batch' gives a node {rows} samples of dimension "
-                              f"{model.dim}, more than one numpy array can hold")
     radius = spec.run["radius"]
     if radius == "auto":
         radius = 2.0 * math.sqrt(model.dim) if model.kind == "linear_regression" else 10.0
     compute_time = None
     if mode in ("amb", "serial"):
         compute_time = _resolve_compute_time(spec, graph, tmodel)
-    if spec.timing["kind"] in _LEAST_TIME_KEY:
-        _check_window_rows(spec, model, tmodel, graph.n, compute_time or 0.0, rows)
+    key, rows = _epoch_rows(spec, mode, tmodel, graph.n, compute_time or 0.0)
+    # A node draws its samples of one epoch as one float64 array.
+    if rows * model.dim * 8 > np.iinfo(np.intp).max:
+        least = (f" at a least batch time of {tmodel.least_batch_time(graph.n):g} s"
+                 if key in _LEAST_TIME_KEY.values() else "")
+        raise ConfigError(f"key '{key}' gives a node {rows:.3g} samples of dimension "
+                          f"{model.dim} in one epoch{least}, more than one numpy array can hold")
     if spec.timing["kind"] == "grouped_pause":
         # Each window is walked one gradient and pause at a time.
         g = tmodel.base_gradient_time
@@ -427,7 +420,6 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
         rounds=rounds,
         scheme=spec.consensus["scheme"],
         exact_batch_norm=spec.consensus["exact_batch_norm"],
-        holdout=spec.run["holdout"],
     )
 
 
@@ -474,6 +466,17 @@ def write_nodes_csv(trace: metrics.RunTrace, path):
                                                   r.rounds_used.tolist(), r.batch_times.tolist()))))
 
 
+def _run(spec: ExperimentSpec, config: engine.RunConfig) -> metrics.RunTrace:
+    """``engine.run``, with a MemoryError named by the key that sizes a node's epoch samples."""
+    try:
+        return engine.run(config)
+    except MemoryError as exc:
+        key, _ = _epoch_rows(spec, config.mode, config.timing, config.graph.n,
+                             config.compute_time or 0.0)
+        raise ConfigError(f"key '{key}' gives a node more samples in one epoch than "
+                          f"this host's memory holds ({exc})") from None
+
+
 def run_experiment(spec: ExperimentSpec) -> int:
     """Execute the spec: one run per seed, paired comparison if requested."""
     outdir = spec.output["directory"]
@@ -484,26 +487,23 @@ def run_experiment(spec: ExperimentSpec) -> int:
         raise ConfigError("key 'run.tau' is 0, but a paired run compares the epochs of its "
                           "two runs; it needs at least 1")
     # A config depends on its seed only through RunConfig.seed, and every run
-    # shares one graph and scheme. So each mode and the mixing matrix are
-    # built once, and a rejected config leaves no output directory.
+    # shares one graph, scheme and holdout. So each mode, the mixing matrix and
+    # the holdout are made once, and a rejected config leaves no output directory.
     configs = {mode: build_run_config(spec, spec.run["seed"], mode) for mode in modes}
     matrix = _mixing_matrix(configs[modes[0]])
-    created = not os.path.isdir(outdir)
-    os.makedirs(outdir, exist_ok=True)
+    count = spec.run["holdout"]
+    try:  # numpy raises ValueError for an array beyond its address range
+        holdout = configs[modes[0]].objective.holdout(count) if count else None
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"key 'run.holdout' asks for more samples than one array or "
+                          f"this host's memory holds ({exc})") from None
     for seed in _seeds(spec):
         traces, ends = {}, {}
         for mode in modes:
-            try:
-                trace = traces[mode] = engine.run(replace(configs[mode], seed=seed, matrix=matrix))
-            except MemoryError as exc:
-                if created and not os.listdir(outdir):
-                    os.rmdir(outdir)
-                # The samples a node draws in one epoch: a fixed batch, or as
-                # many as its batch times fit in a window.
-                key = "run.batch" if mode == "fmb" else _LEAST_TIME_KEY.get(
-                    spec.timing["kind"], "run.compute_time")
-                raise ConfigError(f"key '{key}' gives a node more samples in one epoch than "
-                                  f"this host's memory holds ({exc})") from None
+            trace = traces[mode] = _run(spec, replace(configs[mode], seed=seed, matrix=matrix,
+                                                      holdout=holdout))
+            # Made once a run has finished, so a run that fails leaves no empty directory.
+            os.makedirs(outdir, exist_ok=True)
             write_trace_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}.csv"))
             write_nodes_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}_nodes.csv"))
             wall, gap, regret = ends[mode] = [column[-1] for column in _series(trace)]
@@ -563,7 +563,7 @@ def _cmd_bounds(args) -> int:
         print("bound constants unavailable for this objective (no analytic minimizer); "
               "nothing to report")
         return 0
-    trace = engine.run(replace(config, matrix=matrix))
+    trace = _run(spec, replace(config, matrix=matrix))
     est = objectives.estimate_constants(model, probe_count=64,
                                         seed=model.seed + 1_000_003, radius=config.radius)
     h_star = 0.5 * float(np.dot(model.w_star, model.w_star))

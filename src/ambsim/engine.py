@@ -78,8 +78,8 @@ class RunConfig:
     uniformly from [low, high] each epoch: node i's count in epoch t is
     element i of stream ``(ROUNDS, t)``. ``exact_batch_norm`` divides
     consensus output by the true global batch instead of each node's
-    scalar-consensus estimate. ``holdout`` samples are drawn once per run
-    for the error-versus-wall-time series (0 disables it).
+    scalar-consensus estimate. ``holdout``, a ``(features, labels)`` pair such
+    as ``objective.holdout(count)``, scores the error series (None disables it).
     """
 
     mode: str
@@ -97,7 +97,7 @@ class RunConfig:
     scheme: str = "lazy-metropolis"
     matrix: ConsensusMatrix | None = None
     exact_batch_norm: bool = False
-    holdout: int = 0
+    holdout: tuple | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -109,6 +109,9 @@ class RunConfig:
                              f"got {self.comm_time}")
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if self.holdout is not None and not (type(self.holdout) is tuple and len(self.holdout) == 2):
+            raise ValueError("holdout must be None or a (features, labels) pair, such as "
+                             f"objective.holdout(count), got {type(self.holdout).__name__}")
         if self.compute_time is not None and not math.isfinite(self.compute_time):
             raise ValueError(f"compute time must be finite, got {self.compute_time}")
         if self.mode in ("amb", "serial"):

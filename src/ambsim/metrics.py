@@ -320,8 +320,8 @@ def build_trace(config, records, final_state=None) -> RunTrace:
     if optimum is not None and records:
         regret = empirical_regret(records, optimum)
     error = None
-    if config.holdout > 0 and records:
-        holdout = config.objective.holdout(config.holdout)
+    holdout = config.holdout
+    if holdout is not None and records:
         w_star = getattr(config.objective, "w_star", None)
         reference = None if w_star is None else _holdout_loss(config.objective, holdout)(w_star)
         error = error_vs_walltime(records, config.objective, holdout, reference=reference)

@@ -262,6 +262,7 @@ class TestCriterion8PausedStragglerComparison:
         batch = 100
         mean_bt, _ = pauses.completion_stats(engine._fmb_batches(batch, 10))
         window = engine.matched_compute_time(batch, 10, mean_bt)
+        holdout = model.holdout(1500)
         wins = 0
         ratios = []
         for seed in range(1, 21):
@@ -269,7 +270,7 @@ class TestCriterion8PausedStragglerComparison:
                 graph=topology.testbed_graph(), objective=model, timing=pauses,
                 schedule=dualavg.Schedule(offset=50.0, work_scale=150.0),
                 comm_time=60.0, tau=50, radius=radius, seed=seed, rounds=5,
-                holdout=1500)
+                holdout=holdout)
             trace_a = engine.run(engine.RunConfig(mode="amb", compute_time=window, **shared))
             trace_f = engine.run(engine.RunConfig(mode="fmb", batch=batch, **shared))
             target = float(trace_f.error.gap[-1])

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from ambsim import cli, engine, objectives, timing
 from test_objectives import loop_estimate_constants
 
 TIMING_TRACE = Path(__file__).parent / "golden" / "timing_trace.csv"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def minimal_config(tmp_path, **run_overrides):
@@ -196,6 +199,21 @@ class TestRunExperiment:
         assert cli.main(["run", str(path)]) == 0
         assert len(calls) == 1
         assert len((outdir / "compare.csv").read_text().splitlines()) == 4
+
+    def test_a_paired_experiment_draws_its_holdout_once(self, tmp_path, monkeypatch):
+        calls = []
+        holdout = objectives.LinearRegressionObjective.holdout
+
+        def spy(model, count):
+            calls.append(count)
+            return holdout(model, count)
+
+        monkeypatch.setattr(objectives.LinearRegressionObjective, "holdout", spy)
+        outdir = tmp_path / "out"
+        path = full_config(tmp_path, outdir, output={"directory": str(outdir), "repeats": 2})
+        assert cli.main(["compare", str(path)]) == 0
+        assert len((outdir / "compare.csv").read_text().splitlines()) == 3
+        assert calls == [100]
 
     def test_compare_writes_pair_and_comparison(self, tmp_path):
         outdir = tmp_path / "out"
@@ -483,6 +501,7 @@ class TestSubcommands:
         pytest.param("objective.dim", 2**55, {}, id="objective.dim-2**55"),
         pytest.param("objective.dim", 2**55, {"objective": {**SOFTMAX, "classes": 2}},
                      id="objective.dim-2**55-softmax"),
+        pytest.param("run.holdout", 2**61, {}, id="run.holdout-2**61"),
     ])
     def test_invalid_values_name_the_key(self, tmp_path, capsys, key, value, sections):
         path = full_config(tmp_path, tmp_path / "out", **sections)
@@ -578,8 +597,12 @@ class TestSubcommands:
          "amb", "run.compute_time"),
         ("compare", {}, "amb", "timing.shift"),
         ("compare", {}, "fmb", "run.batch"),
+        # Each node's share is 60 samples, and its communication window fits 10,000.
+        ("run", {"mode": "fmb", "timing": {"kind": "deterministic", "period": 1e-3,
+                                           "reference_batch": 10}}, "fmb", "timing.period"),
+        ("bounds", {}, "amb", "timing.shift"),
     ], ids=["fmb", "shifted-exponential", "deterministic", "grouped-pause", "compare-amb",
-            "compare-fmb"])
+            "compare-fmb", "fmb-window", "bounds"])
     def test_a_run_beyond_host_memory_names_the_key(self, tmp_path, capsys, monkeypatch,
                                                     command, sections, failing, key):
         run = engine.run
@@ -598,6 +621,50 @@ class TestSubcommands:
         written = sorted(p.name for p in outdir.iterdir()) if outdir.exists() else None
         assert written == (["amb_seed21.csv", "amb_seed21_nodes.csv"]
                            if (command, failing) == ("compare", "fmb") else None)
+
+    def test_a_holdout_beyond_host_memory_names_the_key(self, tmp_path, capsys, monkeypatch):
+        def stub(model, count):
+            raise MemoryError("Unable to allocate 128. GiB")
+
+        monkeypatch.setattr(objectives.LinearRegressionObjective, "holdout", stub)
+        assert cli.main(["run", str(full_config(tmp_path, tmp_path / "out"))]) == 1
+        err = capsys.readouterr().err
+        assert "key 'run.holdout'" in err and "128. GiB" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="only Linux enforces RLIMIT_AS; elsewhere the child would "
+                               "really allocate")
+    @pytest.mark.parametrize("command, sections, key", [
+        ("run", {"timing": {"kind": "deterministic", "period": 1e-9}}, "timing.period"),
+        ("run", {"objective": {"kind": "linear_regression", "dim": 1, "seed": 3},
+                 "run": {"holdout": 2**34}}, "run.holdout"),
+        ("bounds", {"timing": {"kind": "deterministic", "period": 1e-9}}, "timing.period"),
+    ], ids=["run-window", "run-holdout", "bounds-window"])
+    def test_a_run_beyond_an_address_space_limit_names_the_key(self, tmp_path, command,
+                                                               sections, key):
+        # Each node-epoch of the window configs draws 10^9 samples of d = 8
+        # (59.6 GiB), and the holdout config 2^34 samples of d = 1 (128 GiB),
+        # all within numpy's address range; the child may map 2 GB.
+        def limit():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+        outdir = tmp_path / "out"
+        path = full_config(tmp_path, outdir, mode="fmb", topology={"kind": "complete", "n": 3})
+        payload = json.loads(path.read_text())
+        payload.update({name: value for name, value in sections.items() if name != "run"})
+        payload["run"].update({"batch": 3, "holdout": 0, **sections.get("run", {})})
+        path.write_text(json.dumps(payload))
+        paths = [str(SRC), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        result = subprocess.run([sys.executable, "-m", "ambsim.cli", command, str(path)],
+                                env=env, preexec_fn=limit, capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 1, result.stderr
+        assert f"key '{key}'" in result.stderr and "Traceback" not in result.stderr
+        assert not outdir.exists()
 
     def test_a_memory_error_keeps_an_output_directory_it_did_not_create(self, tmp_path,
                                                                          monkeypatch):

@@ -57,6 +57,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(rounds="sometimes")
 
+    @pytest.mark.parametrize("holdout", [400, 0, [1.0, 2.0], (np.zeros((4, 6)),)])
+    def test_holdout_must_be_a_drawn_pair(self, holdout):
+        with pytest.raises(ValueError, match=r"objective\.holdout\(count\)"):
+            small_config(holdout=holdout)
+        x, y = objectives.make_linear_regression(6, 1e-2, seed=3).holdout(4)
+        assert small_config(holdout=(x, y)).holdout[0] is x
+
 
 def window_epoch(cfg):
     """``(b, a, T)`` of epoch 1 from the timing model, with the generators a run gives it."""

@@ -122,7 +122,7 @@ class TestErrorSeries:
             timing=timing.ShiftedExponential(2 / 3, 1.0, reference_batch=60),
             schedule=dualavg.Schedule(offset=14.0, work_scale=600.0),
             comm_time=1.0, tau=6, radius=2 * math.sqrt(12), seed=5,
-            compute_time=2.5, rounds=5, holdout=holdout)
+            compute_time=2.5, rounds=5, holdout=model.holdout(holdout))
         return engine.run(cfg), model
 
     def test_initial_point_matches_analytic_value(self):
@@ -282,7 +282,7 @@ class TestBoundReport:
             timing=timing.ShiftedExponential(2 / 3, 1.0, reference_batch=60),
             schedule=dualavg.Schedule(offset=14.0, work_scale=600.0),
             comm_time=1.0, tau=10, radius=radius, seed=9,
-            compute_time=2.5, rounds=8, holdout=200)
+            compute_time=2.5, rounds=8, holdout=model.holdout(200))
         trace = engine.run(cfg)
         est = objectives.estimate_constants(model, 64, seed=11, radius=radius)
         h_star = 0.5 * float(np.dot(model.w_star, model.w_star))

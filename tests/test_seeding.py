@@ -115,13 +115,14 @@ class TestRunPathSeeding:
     HOT = (seeding.TIMING, seeding.PAUSES, seeding.SAMPLES, seeding.ROUNDS)
 
     def test_ring_amb_run(self, monkeypatch):
+        tags = count_substream_tags(monkeypatch)
+        model = objectives.make_linear_regression(4, 0.01, seed=8)
         cfg = engine.RunConfig(
-            mode="amb", graph=topology.ring_graph(30),
-            objective=objectives.make_linear_regression(4, 0.01, seed=8),
+            mode="amb", graph=topology.ring_graph(30), objective=model,
             timing=timing.ShiftedExponential(rate=2 / 3, shift=1.0, reference_batch=20),
             schedule=dualavg.Schedule(offset=10.0, work_scale=300.0), comm_time=1.0, tau=6,
-            radius=4.0, seed=12, compute_time=2.5, rounds=("uniform", 2, 5), holdout=50)
-        tags = count_substream_tags(monkeypatch)
+            radius=4.0, seed=12, compute_time=2.5, rounds=("uniform", 2, 5),
+            holdout=model.holdout(50))
         trace = engine.run(cfg)
         assert trace.processed_total > 0
         assert not any(tags[tag] for tag in self.HOT), tags
