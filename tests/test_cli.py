@@ -718,6 +718,17 @@ class TestSubcommands:
         assert "sample-path bound" in out
         assert "empirical regret" in out
 
+    @pytest.mark.parametrize("name", ["linear_compare", "paused_stragglers"])
+    def test_bounds_prints_the_pinned_report_for_a_shipped_config(self, name, capsys,
+                                                                 monkeypatch):
+        # Every printed digit of the report, the expected-work bound's among
+        # them, against text committed under tests/golden/bounds.
+        monkeypatch.delenv("AMB_SEED", raising=False)
+        root = Path(__file__).resolve().parent
+        config = root.parent / "demos" / "configs" / f"{name}.json"
+        assert cli.main(["bounds", str(config)]) == 0
+        assert capsys.readouterr().out == (root / "golden" / "bounds" / f"{name}.txt").read_text()
+
     def test_bounds_without_a_minimizer_runs_nothing(self, tmp_path, capsys, monkeypatch):
         from ambsim import engine
         runs = []
