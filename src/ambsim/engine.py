@@ -109,9 +109,16 @@ class RunConfig:
                              f"got {self.comm_time}")
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if self.holdout is not None and not (type(self.holdout) is tuple and len(self.holdout) == 2):
-            raise ValueError("holdout must be None or a (features, labels) pair, such as "
-                             f"objective.holdout(count), got {type(self.holdout).__name__}")
+        if self.holdout is not None:
+            if not (type(self.holdout) is tuple and len(self.holdout) == 2):
+                raise ValueError("holdout must be None or a (features, labels) pair, such as "
+                                 f"objective.holdout(count), got {type(self.holdout).__name__}")
+            x, y = map(np.shape, self.holdout)
+            width = getattr(self.objective, "feat_dim", self.objective.dim)
+            if not (len(x) == 2 and x[0] > 0 and x[1] == width and y == x[:1]):
+                raise ValueError(f"holdout must hold rows of {width} features and one label per "
+                                 "row, at least one, such as objective.holdout(count), got "
+                                 f"features of shape {x} and labels of shape {y}")
         if self.compute_time is not None and not math.isfinite(self.compute_time):
             raise ValueError(f"compute time must be finite, got {self.compute_time}")
         if self.mode in ("amb", "serial"):

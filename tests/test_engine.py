@@ -9,8 +9,11 @@ from test_objectives import oracle_draw, oracle_grad_mean, oracle_loss_batch
 from test_topology import random_connected_graph
 
 
+LINEAR = objectives.make_linear_regression(6, 1e-2, seed=3)
+
+
 def small_config(**overrides):
-    model = objectives.make_linear_regression(6, 1e-2, seed=3)
+    model = LINEAR
     defaults = dict(
         mode="amb",
         graph=topology.testbed_graph(),
@@ -57,12 +60,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(rounds="sometimes")
 
-    @pytest.mark.parametrize("holdout", [400, 0, [1.0, 2.0], (np.zeros((4, 6)),)])
+    @pytest.mark.parametrize("holdout", [
+        400, 0, [1.0, 2.0], (np.zeros((4, 6)),),
+        # No rows, labels for fewer rows, rows of the wrong width, features as one row.
+        LINEAR.holdout(0), (LINEAR.holdout(4)[0], LINEAR.holdout(3)[1]),
+        (np.zeros((4, 5)), np.zeros(4)), (np.zeros(6), np.zeros(1)),
+    ])
     def test_holdout_must_be_a_drawn_pair(self, holdout):
         with pytest.raises(ValueError, match=r"objective\.holdout\(count\)"):
             small_config(holdout=holdout)
-        x, y = objectives.make_linear_regression(6, 1e-2, seed=3).holdout(4)
+        x, y = LINEAR.holdout(4)
         assert small_config(holdout=(x, y)).holdout[0] is x
+        # A softmax row holds feat_dim features, not the model's classes * feat_dim weights.
+        softmax = objectives.make_logistic_regression(3, 4, seed=5)
+        x, y = softmax.holdout(4)
+        assert small_config(objective=softmax, holdout=(x, y)).holdout[0] is x
+        with pytest.raises(ValueError, match=r"objective\.holdout\(count\)"):
+            small_config(objective=softmax, holdout=(np.zeros((4, softmax.dim)), y))
 
 
 def window_epoch(cfg):
