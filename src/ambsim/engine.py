@@ -204,10 +204,12 @@ def matched_compute_time(batch: int, n: int, mean_batch_time: float) -> float:
     return (1.0 + n / batch) * mean_batch_time
 
 
-def average_consensus(matrix: ConsensusMatrix, values: np.ndarray, rounds: int) -> np.ndarray:
-    """Apply ``rounds`` synchronous averaging steps to per-node values.
+def average_consensus(matrix: ConsensusMatrix, values: np.ndarray, rounds) -> np.ndarray:
+    """Apply synchronous averaging steps to per-node values; node i stops after ``rounds[i]``.
 
-    ``values`` holds one entry or one row per node. Each step gathers each
+    ``values`` holds one entry or one row per node, and ``rounds`` is one
+    count for every node or one count per node: node i's result is its row
+    after its own count of steps, of the steps that all nodes take. Each step gathers each
     row's nonzero columns and adds their products in ascending column order,
     in O(|E| d). Every column is averaged on its own, so a column carried
     beside others, or alone, or as 1-D values, comes out bit for bit the
@@ -218,10 +220,14 @@ def average_consensus(matrix: ConsensusMatrix, values: np.ndarray, rounds: int) 
     """
     columns, weights = matrix.columns, matrix.weights
     values = np.asarray(values, dtype=float)
+    counts = np.broadcast_to(rounds, len(values))
     out = values.reshape(len(values), -1)
-    for _ in range(rounds):
+    result = out.copy()  # a node with no rounds keeps its own values
+    for k in range(1, int(counts.max(initial=0)) + 1):
         out = (weights[:, :, None] * out[columns]).sum(axis=0)
-    return out.reshape(values.shape)
+        done = counts == k
+        result[done] = out[done]
+    return result.reshape(values.shape)
 
 
 class _Streams:
@@ -271,13 +277,7 @@ def _consensus_phase(config: RunConfig, messages: np.ndarray, rounds_per_node: n
     """Run the consensus rounds; each node reads its row after its own count."""
     if config.rounds == "exact":
         return np.tile(messages.mean(axis=0), (len(messages), 1))
-    out = np.empty_like(messages)
-    m = messages
-    for k in range(1, int(rounds_per_node.max()) + 1):
-        m = average_consensus(config.matrix, m, 1)
-        done = rounds_per_node == k
-        out[done] = m[done]
-    return out
+    return average_consensus(config.matrix, messages, rounds_per_node)
 
 
 def init_state(config: RunConfig) -> EngineState:

@@ -116,7 +116,37 @@ class TestComputePhase:
         assert engine.matched_compute_time(60_000, 10, 14.5) == pytest.approx(14.5, abs=3e-3)
 
 
+def oracle_consensus_phase(matrix, messages, rounds_per_node):
+    """The engine's consensus loop before ``average_consensus`` took per-node counts:
+    one step at a time, each node keeping its row after its own count."""
+    out = np.empty_like(messages)
+    m = messages
+    for k in range(1, int(rounds_per_node.max()) + 1):
+        m = engine.average_consensus(matrix, m, 1)
+        done = rounds_per_node == k
+        out[done] = m[done]
+    return out
+
+
 class TestConsensus:
+    @pytest.mark.parametrize("dim", [2, 50, 210])
+    def test_per_node_counts_match_the_per_round_loop_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim + 1)
+        graphs = [topology.testbed_graph(), topology.ring_graph(150)]
+        graphs += [random_connected_graph(rng, n) for n in (5, 17, 40)]
+        for g in graphs:
+            cm = topology.build_consensus_matrix(g)
+            values = rng.standard_normal((g.n, dim)) * rng.uniform(0.1, 100)
+            values[rng.random(g.n) < 0.3] = 0.0  # nodes with b_i = 0 send zero rows
+            for low, high in ((1, 1), (4, 4), (1, 8), (3, 6)):
+                counts = rng.integers(low, high + 1, size=g.n)
+                want = oracle_consensus_phase(cm, values, counts).view(np.uint64)
+                got = engine.average_consensus(cm, values, counts)
+                assert np.array_equal(got.view(np.uint64), want)
+                if low == high:  # one count for every node
+                    got = engine.average_consensus(cm, values, low)
+                    assert np.array_equal(got.view(np.uint64), want)
+
     def test_mass_conservation_each_round(self):
         rng = np.random.default_rng(0)
         cm = topology.build_consensus_matrix(topology.testbed_graph())
