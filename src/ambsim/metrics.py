@@ -7,7 +7,7 @@ orders so every derived number is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -192,22 +192,16 @@ def evaluate_regret_bound(constants: BoundConstants, tau: int, m: int,
 
 def expected_regret_bound(constants: BoundConstants, tau: int, mean_potential: float,
                           mean_inverse_batch: float, eps: float) -> float:
-    """Regret bound averaged over the work distribution (diagnostic).
+    """The sample-path bound at the mean work (diagnostic).
 
-    ``mean_potential`` is the expected potential batch per epoch and
-    ``mean_inverse_batch`` the expectation of one over the processed
-    batch.
+    ``mean_potential``, the expected potential batch per epoch, stands in for
+    both the largest epoch work and the work scale, over ``tau`` epochs of it;
+    ``mean_inverse_batch``, the expectation of one over the processed batch,
+    scales the gradient variance.
     """
-    c_bar = mean_potential
-    m_bar = c_bar * tau
-    k = constants.grad_smoothness
-    beta_tau = k + math.sqrt(tau / c_bar)
-    head = c_bar * (constants.initial_gap + beta_tau * constants.h_star)
-    mid = 3.0 * k * k * eps * eps * c_bar ** 2.5 / 4.0
-    tail = (2.0 * k * constants.diameter * eps * c_bar
-            + c_bar * constants.grad_variance * mean_inverse_batch / 2.0
-            + 2.0 * constants.loss_lipschitz * eps * c_bar) * math.sqrt(m_bar)
-    return head + mid + tail
+    at_mean = replace(constants, grad_variance=constants.grad_variance * mean_inverse_batch)
+    return evaluate_regret_bound(at_mean, tau, mean_potential * tau, mean_potential,
+                                 mean_potential, eps)
 
 
 @dataclass(frozen=True)

@@ -204,16 +204,16 @@ class TestErrorSeries:
         assert math.isnan(metrics.time_to_reach(series, 0.1))
 
 
-def bound_oracle():
+def bound_oracle(variance="1"):
     # High-precision evaluation of the documented closed form for
-    # K=1, D=2, eps=0.1, sigma^2=1, L=1, c_max=10, mu=10, tau=100, m=1000,
+    # K=1, D=2, eps=0.1, sigma^2=variance, L=1, c_max=10, mu=10, tau=100, m=1000,
     # initial gap 1, h* = 0.5.
     getcontext().prec = 50
     ten = Decimal(10)
     beta_tau = 1 + (Decimal(100) / ten).sqrt()
     head = ten * (1 + beta_tau * Decimal("0.5"))
     mid = 3 * Decimal("0.01") * ten * ten ** Decimal("1.5") / 4
-    tail = (2 * 2 * Decimal("0.1") + Decimal("0.5") + 2 * Decimal("0.1")) * ten * Decimal(1000).sqrt()
+    tail = (2 * 2 * Decimal("0.1") + Decimal(variance) / 2 + 2 * Decimal("0.1")) * ten * Decimal(1000).sqrt()
     return float(head + mid + tail)
 
 
@@ -244,6 +244,8 @@ class TestRegretBound:
         got = metrics.expected_regret_bound(self.CONSTANTS, tau=100, mean_potential=10.0,
                                             mean_inverse_batch=0.2, eps=0.1)
         assert got > 0 and math.isfinite(got)
+        # The sample-path bound with c_max = mu = 10, m = 10 * tau and variance 1 * 0.2.
+        assert got == pytest.approx(bound_oracle(variance="0.2"), rel=1e-12)
 
 
 class TestSpeedup:
