@@ -34,7 +34,7 @@ for k in (0, 5, 20, 60, 120):
           f"   {worst[k]:10.4f}")
 
 x, y = cfg.holdout
-w_final = trace.final_primals.mean(axis=0).reshape(CLASSES, FEATURES)
+w_final = trace.records[-1].primal_after.mean(axis=0).reshape(CLASSES, FEATURES)
 logits = np.stack([(x * w_final[c]).sum(axis=1) for c in range(CLASSES)], axis=1)
 accuracy = float((logits.argmax(axis=1) == y).mean())
 print(f"\nholdout accuracy of the averaged final iterate: {accuracy:.1%} "

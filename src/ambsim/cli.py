@@ -507,7 +507,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
             write_trace_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}.csv"))
             write_nodes_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}_nodes.csv"))
             wall, gap, regret = ends[mode] = [column[-1] for column in _series(trace)]
-            summary.append((seed, mode, trace.tau, trace.config.graph.n, trace.lambda2, wall,
+            summary.append((seed, mode, trace.tau, trace.config.graph.n, matrix.lambda2, wall,
                             trace.processed_total, trace.potential_total, gap, regret))
         if paired:
             report = metrics.speedup_measurement(traces["amb"], traces["fmb"])

@@ -471,4 +471,4 @@ def run(config: RunConfig):
             records.append(record)
         # Free this block's tables before the next block's, and before the trace is scored.
         del streams
-    return metrics.build_trace(config, records, final_state=state)
+    return metrics.build_trace(config, records)

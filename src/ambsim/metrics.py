@@ -69,7 +69,6 @@ class RunTrace:
 
     config: object
     records: list
-    lambda2: float
     wall: np.ndarray
     global_batches: np.ndarray
     global_potentials: np.ndarray
@@ -77,7 +76,6 @@ class RunTrace:
     potential_total: int
     regret: RegretSeries | None
     error: ErrorSeries | None
-    final_primals: np.ndarray | None
 
     @property
     def tau(self) -> int:
@@ -304,7 +302,7 @@ def bound_report(trace: RunTrace, constants: BoundConstants) -> BoundReport:
                        expected_regret_bound_value=expected, holds=holds)
 
 
-def build_trace(config, records, final_state=None) -> RunTrace:
+def build_trace(config, records) -> RunTrace:
     """Assemble the run trace: totals, regret series, and the error series."""
     wall = np.array([r.wall_end for r in records])
     batches = np.array([r.global_batch for r in records], dtype=np.int64)
@@ -319,11 +317,9 @@ def build_trace(config, records, final_state=None) -> RunTrace:
         w_star = getattr(config.objective, "w_star", None)
         reference = None if w_star is None else _holdout_loss(config.objective, holdout)(w_star)
         error = error_vs_walltime(records, config.objective, holdout, reference=reference)
-    lambda2 = config.matrix.lambda2 if config.matrix is not None else float("nan")
     return RunTrace(
         config=config,
         records=records,
-        lambda2=lambda2,
         wall=wall,
         global_batches=batches,
         global_potentials=potentials,
@@ -331,5 +327,4 @@ def build_trace(config, records, final_state=None) -> RunTrace:
         potential_total=int(potentials.sum()),
         regret=regret,
         error=error,
-        final_primals=final_state.primal if final_state is not None else None,
     )
