@@ -204,7 +204,8 @@ def matched_compute_time(batch: int, n: int, mean_batch_time: float) -> float:
     return (1.0 + n / batch) * mean_batch_time
 
 
-def average_consensus(matrix: ConsensusMatrix, values: np.ndarray, rounds) -> np.ndarray:
+def average_consensus(matrix: ConsensusMatrix, values: np.ndarray,
+                      rounds: int | np.ndarray) -> np.ndarray:
     """Apply synchronous averaging steps to per-node values; node i stops after ``rounds[i]``.
 
     ``values`` holds one entry or one row per node, and ``rounds`` is one
