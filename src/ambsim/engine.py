@@ -209,8 +209,8 @@ def average_consensus(matrix: ConsensusMatrix, values: np.ndarray,
     """Apply synchronous averaging steps to per-node values; node i stops after ``rounds[i]``.
 
     ``values`` holds one entry or one row per node, and ``rounds`` is one
-    count for every node or one count per node: node i's result is its row
-    after its own count of steps, of the steps that all nodes take. Each step gathers each
+    count for every node or one count per node: all nodes step together, and
+    node i's result is its row after its own count. Each step gathers each
     row's nonzero columns and adds their products in ascending column order,
     in O(|E| d). Every column is averaged on its own, so a column carried
     beside others, or alone, or as 1-D values, comes out bit for bit the

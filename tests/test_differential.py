@@ -23,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from ambsim import cli, dualavg, seeding, timing, topology
+from ambsim import cli, dualavg, engine, seeding, timing, topology
 from test_objectives import oracle_draw, oracle_grad_mean, oracle_loss_batch, oracle_rows
 
 MODES = ("amb", "fmb", "serial")
@@ -44,21 +44,22 @@ def make_config(k: int, rng: np.random.Generator, trace_path: str) -> tuple:
     # A slow node may finish no gradient in a window. On a ring with few
     # rounds, some nodes then hear from no one with work, and some epochs
     # have no batch at all.
-    slow = bool(rng.random() < 0.4)
+    slow = k % 5 in (0, 2)
     topo = [{"kind": "testbed"}, {"kind": "complete", "n": int(rng.integers(2, 7))},
-            {"kind": "ring", "n": int(rng.integers(3, 13))}][2 if slow else int(rng.integers(3))]
+            {"kind": "ring", "n": int(rng.integers(6 if slow else 3, 13))}][
+                2 if slow else int(rng.integers(3))]
     n = {"testbed": 10}.get(topo["kind"]) or topo["n"]
     if model == "softmax":
         objective = {"kind": "logistic_regression", "classes": int(rng.integers(2, 5)),
                      "dim": int(rng.integers(2, 7)), "seed": int(rng.integers(100))}
     else:
-        # dim 1 runs the one-column messages of an epoch without a batch.
-        objective = {"kind": "linear_regression", "dim": int(rng.integers(1, 9)),
+        # A slow run at dim 1 averages one-column duals in an epoch without a batch.
+        objective = {"kind": "linear_regression", "dim": 1 if slow else int(rng.integers(1, 9)),
                      "noise_var": 0.0 if model == "linear-noise-free"
                      else float(rng.uniform(1e-3, 0.1)), "seed": int(rng.integers(100))}
     if kind == "shifted_exponential":
         tim = {"kind": kind, "rate": float(rng.uniform(0.3, 2.0)),
-               "shift": float(rng.uniform(0.2, 1.5)),
+               "shift": float(rng.uniform(2.0, 4.0) if slow else rng.uniform(0.2, 1.5)),
                "reference_batch": 1 if slow else int(rng.integers(2, 12))}
     elif kind == "deterministic":
         tim = {"kind": kind, "period": 9.0 if slow else float(rng.uniform(0.3, 2.0)),
@@ -72,15 +73,16 @@ def make_config(k: int, rng: np.random.Generator, trace_path: str) -> tuple:
         tim = {"kind": kind, "path": trace_path,
                "reference_batch": 1 if slow else int(rng.integers(2, 12))}
     consensus = {"exact_batch_norm": bool(k % 2),
-                 "rounds": {"int": int(rng.integers(1, 3 if slow else 6)), "exact": "exact",
-                            "uniform": ["uniform", int(rng.integers(1, 3)), int(rng.integers(3, 7))]
-                            }[rounds]}
+                 "rounds": {"int": 1 if slow else int(rng.integers(1, 6)), "exact": "exact",
+                            "uniform": ["uniform", 1, 2] if slow else
+                            ["uniform", int(rng.integers(1, 3)), int(rng.integers(3, 7))]}[rounds]}
     run = {"tau": int(rng.integers(2, 6)), "seed": int(rng.integers(1000)),
            "communication_time": float(rng.choice([0.0, rng.uniform(0.1, 1.5)])),
            "radius": "auto" if k % 4 == 3 else float(rng.uniform(2.0, 10.0)),
            "holdout": 0 if k % 7 in (2, 5) else int(rng.integers(5, 60))}
     if mode == "fmb" or paired or k % 6 == 0:
-        run["batch"] = int(rng.integers(1, 4 * n + 1))
+        # A slow fmb run gives node 0 the only sample.
+        run["batch"] = 1 if slow and mode == "fmb" else int(rng.integers(1, 4 * n + 1))
     run["compute_time"] = "auto" if "batch" in run and k % 4 == 0 else float(rng.uniform(1.0, 3.5))
     schedule = {"offset": float(rng.uniform(1.0, 30.0)),
                 "work_scale": "auto" if k % 3 == 2 else float(rng.uniform(5.0, 200.0))}
@@ -91,11 +93,15 @@ def make_config(k: int, rng: np.random.Generator, trace_path: str) -> tuple:
 
 
 def write_trace_table(path, rng):
-    """A batch-time trace for 13 nodes (more than any generated graph), 1 to 3 epochs each."""
+    """A batch-time trace for 13 nodes (more than any generated graph), three epochs each.
+
+    Every node takes 30 s in its third epoch, so an amb run finds no batch in
+    epoch 3 after two epochs of work, and averages nonzero duals alone.
+    """
     lines = ["node,epoch,batch_time_seconds"]
     for node in range(13):
-        for epoch in range(1, int(rng.integers(1, 4)) + 1):
-            lines.append(f"{node},{epoch},{rng.uniform(0.3, 5.0)!r}")
+        times = [rng.uniform(0.3, 5.0), rng.uniform(0.3, 5.0), 30.0]
+        lines += [f"{node},{epoch},{time!r}" for epoch, time in enumerate(times, start=1)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -274,20 +280,28 @@ def _no_seed_override(monkeypatch):
     monkeypatch.delenv("AMB_SEED", raising=False)
 
 
-def test_generator_covers_every_option(tmp_path):
-    payloads = [(command, payload) for command, payload in configs(tmp_path)]
-    seen = {(key, value) for command, p in payloads for key, value in [
-        ("mode", p["mode"]), ("timing", p["timing"]["kind"]),
-        ("rounds", type(p["consensus"]["rounds"]).__name__
-         if p["consensus"]["rounds"] != "exact" else "exact"),
-        ("norm", p["consensus"]["exact_batch_norm"]),
-        ("model", p["objective"]["kind"] + str(p["objective"].get("noise_var", "") == 0.0)),
-        ("holdout", bool(p["run"]["holdout"])), ("command", command)]}
-    assert seen == {("mode", m) for m in MODES} | {("timing", t) for t in TIMINGS} | {
-        ("rounds", "int"), ("rounds", "list"), ("rounds", "exact"), ("norm", True),
-        ("norm", False), ("model", "linear_regressionTrue"), ("model", "linear_regressionFalse"),
-        ("model", "logistic_regressionFalse"), ("holdout", True), ("holdout", False),
-        ("command", "run"), ("command", "compare")}
+def test_generator_covers_every_option_and_edge(tmp_path):
+    # What the runs meet, after config resolution (serial mode forces exact rounds).
+    seen = set()
+    for k, (command, payload) in enumerate(configs(tmp_path)):
+        path = tmp_path / f"config{k}.json"
+        path.write_text(json.dumps(payload))
+        spec = cli.parse_config(path)
+        for mode in ("amb", "fmb") if command == "compare" else (spec.mode,):
+            config = cli.build_run_config(spec, spec.run["seed"], mode)
+            model = config.objective
+            rounds = config.rounds if isinstance(config.rounds, str) else type(config.rounds)
+            seen |= {mode, command, spec.timing["kind"], rounds, config.exact_batch_norm,
+                     (model.kind, getattr(model, "noise_var", None) == 0.0),
+                     ("holdout", spec.run["holdout"] > 0)}
+            records = engine.run(config).records
+            seen |= {"no batch" for r in records if r.empty_batch}
+            seen |= {"unheard node" for r in records if r.degenerate_nodes}
+            seen |= {"one column" for r in records if r.empty_batch and model.dim == 1}
+    assert seen >= {*MODES, *TIMINGS, "run", "compare", int, tuple, "exact", True, False,
+                    ("linear_regression", True), ("linear_regression", False),
+                    ("logistic_regression", False), ("holdout", True), ("holdout", False),
+                    "no batch", "unheard node", "one column"}
 
 
 @pytest.mark.parametrize("k", range(COUNT))
