@@ -381,6 +381,11 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     compute_time = None
     if mode in ("amb", "serial"):
         compute_time = _resolve_compute_time(spec, graph, tmodel)
+    if spec.timing["kind"] == "grouped_pause":  # the walk cap
+        for key, window in (("run.communication_time", spec.run["communication_time"]),
+                            ("run.compute_time", compute_time or 0.0)):
+            with _naming(key):
+                tmodel.window_pauses(window)
     key, rows = _epoch_rows(spec, mode, tmodel, graph.n, compute_time or 0.0)
     # A node draws its samples of one epoch as one float64 array.
     if rows * model.dim * 8 > np.iinfo(np.intp).max:
@@ -388,16 +393,6 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
                  if key in _LEAST_TIME_KEY.values() else "")
         raise ConfigError(f"key '{key}' gives a node {rows:.3g} samples of dimension "
                           f"{model.dim} in one epoch{least}, more than one numpy array can hold")
-    if spec.timing["kind"] == "grouped_pause":
-        # Each window is walked one gradient and pause at a time.
-        g = tmodel.base_gradient_time
-        windows = {"run.communication_time": spec.run["communication_time"],
-                   "run.compute_time": compute_time or 0.0}
-        for key, window in windows.items():
-            if window / g > tmodel.MAX_WINDOW_GRADIENTS:
-                raise ConfigError(f"key '{key}' fits {window / g:.3g} gradients of "
-                                  f"timing.base_gradient_time {g:g} in one window; at most "
-                                  f"{tmodel.MAX_WINDOW_GRADIENTS} are allowed")
     schedule = _resolve_schedule(spec, model, graph, tmodel, radius,
                                  compute_time if compute_time is not None else 1.0, mode)
     rounds = spec.consensus["rounds"]

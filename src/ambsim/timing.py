@@ -292,7 +292,7 @@ class GroupedPauseTiming:
     Node ``i`` belongs to group ``assignment[i]``; after every gradient it
     pauses for ``max(0, N(group_means[j], group_vars[j]))``. The pause
     after gradient k of node i in epoch t is element k of the stream
-    ``(PAUSES, i, t)``, made once per (node, epoch) and drawn in blocks.
+    ``(PAUSES, i, t)``, whose pauses for one epoch are drawn in one call.
     Inside a fixed compute window the pause is additionally truncated at
     the window end (the node stays idle until the deadline). The base
     gradient time sets the absolute scale, which the pause statistics
@@ -305,9 +305,6 @@ class GroupedPauseTiming:
     base_gradient_time: float
 
     stream = seeding.PAUSES
-    # Pauses cut most windows far below window // g gradients, so the first
-    # block of a long window is capped rather than sized for no pauses.
-    FIRST_BLOCK = 4096
     # A window walks one pause per gradient in Python, so a window that fits
     # more than this many gradients is rejected before any pause is drawn.
     MAX_WINDOW_GRADIENTS = 1_000_000
@@ -338,18 +335,28 @@ class GroupedPauseTiming:
         return cls(tuple(float(m) for m in group_means), tuple(float(v) for v in group_vars),
                    assignment, base_gradient_time)
 
-    def _pause_stream(self, node: int, rng):
-        """Draws from ``rng``, the generator of stream ``(PAUSES, node, epoch)``: the k-th
-        pause drawn, over all calls, is element k of :meth:`pauses`. Negative draws
-        mean no pause."""
+    def window_pauses(self, window: float) -> int:
+        """``window // g + 2``, at least the pauses a window reads: one per gradient that fits.
+
+        Under the cap, rounding in 10^6 additions of g stays below 10^-4 of a
+        gradient, so at most ``window // g + 1`` gradients fit (ten steps of 0.1
+        fit in 1.0, though ``1.0 // 0.1 == 9.0``). A window that is negative,
+        not finite, or over ``MAX_WINDOW_GRADIENTS`` gradients raises.
+        """
+        if not 0.0 <= window < math.inf:
+            raise ValueError(f"window must be finite and non-negative, got {window}")
+        g = self.base_gradient_time
+        if window / g > self.MAX_WINDOW_GRADIENTS:
+            raise ValueError(f"window {window:g} fits {window / g:.3g} gradients of "
+                             f"base_gradient_time {g:g}; at most "
+                             f"{self.MAX_WINDOW_GRADIENTS} are allowed")
+        return int(window // g) + 2
+
+    def _draw(self, node: int, rng, count: int) -> np.ndarray:
+        """The next ``count`` pauses of ``rng``, stream ``(PAUSES, node, epoch)``; < 0 is 0."""
         j = self.assignment[node]
-        mean, sd = self.group_means[j], math.sqrt(self.group_vars[j])
-
-        def draw(count: int) -> np.ndarray:
-            draws = mean + sd * rng.standard_normal(count)
-            return np.where(draws > 0.0, draws, 0.0)
-
-        return draw
+        draws = self.group_means[j] + math.sqrt(self.group_vars[j]) * rng.standard_normal(count)
+        return np.where(draws > 0.0, draws, 0.0)
 
     def pauses(self, node: int, epoch: int, seed: int, count: int) -> np.ndarray:
         """The first ``count`` pauses of ``node`` in ``epoch``; element k follows gradient k.
@@ -357,38 +364,24 @@ class GroupedPauseTiming:
         All come from the one stream ``(PAUSES, node, epoch)``. Its normal
         draws are prefix-stable, so element k never depends on ``count``.
         """
-        return self._pause_stream(node, seeding.substream(seed, seeding.PAUSES, node, epoch))(count)
+        return self._draw(node, seeding.substream(seed, seeding.PAUSES, node, epoch), count)
 
     def pause(self, node: int, epoch: int, grad_index: int, seed: int) -> float:
         """Pause after gradient ``grad_index``: element ``grad_index`` of :meth:`pauses`."""
         return float(self.pauses(node, epoch, seed, grad_index + 1)[grad_index])
 
-    def _walk(self, window: float, block: list, index: int, draw):
+    def _walk(self, window: float, pauses: list, index: int):
         """``(count, busy_time, next_index)`` of a window that starts at pause ``index``.
 
-        ``block``, the pauses drawn so far, grows in place from ``draw``: to
-        cover ``window // g`` gradients (at most ``FIRST_BLOCK``), then to twice
-        its length plus two when more fit (float rounding, few pauses). A window
-        of more than ``MAX_WINDOW_GRADIENTS`` gradients raises before any draw.
+        ``pauses`` holds at least ``window_pauses(window)`` pauses from ``index`` on.
         """
-        if not 0.0 <= window < math.inf:
-            raise ValueError(f"window must be finite and non-negative, got {window}")
         g = self.base_gradient_time
-        if window / g > self.MAX_WINDOW_GRADIENTS:
-            raise ValueError(f"window {window:g} fits {window / g:.3g} gradients of {g:g}; "
-                             f"at most {self.MAX_WINDOW_GRADIENTS} are allowed")
-        first = index + int(min(window // g, self.FIRST_BLOCK))
-        block += draw(max(first - len(block), 0)).tolist()
-        elapsed = 0.0
-        count = 0
+        elapsed, start = 0.0, index
         while elapsed + g <= window:
             elapsed += g
-            count += 1
-            if index == len(block):
-                block += draw(index + 2).tolist()
-            elapsed += min(block[index], window - elapsed)
+            elapsed += min(pauses[index], window - elapsed)
             index += 1
-        return count, elapsed, index
+        return index - start, elapsed, index
 
     def _busy(self, count: int, pauses: list) -> float:
         """Time for ``count`` gradients with ``pauses`` between them, summed in order."""
@@ -404,8 +397,8 @@ class GroupedPauseTiming:
         Pauses that would overrun the window are truncated at the deadline. A
         follow-up window in the same epoch continues the stream at ``next_index``.
         """
-        rng = seeding.substream(seed, seeding.PAUSES, node, epoch)
-        return self._walk(window, [], start_index, self._pause_stream(node, rng))
+        count = start_index + self.window_pauses(window)
+        return self._walk(window, self.pauses(node, epoch, seed, count).tolist(), start_index)
 
     def fixed_count_time(self, node: int, epoch: int, seed: int, count: int,
                          start_index: int = 0):
@@ -417,21 +410,23 @@ class GroupedPauseTiming:
 
     def window_epoch(self, epoch: int, rngs, window: float, comm_time: float):
         """``(b, a, T)``: each node's communication window continues its compute window's pauses."""
+        size = self.window_pauses(window) + self.window_pauses(comm_time)
         rows = []
         for node, rng in enumerate(rngs):
-            draw, block = self._pause_stream(node, rng), []
-            count, busy, nxt = self._walk(window, block, 0, draw)
-            rows.append((count, self._walk(comm_time, block, nxt, draw)[0], busy))
+            pauses = self._draw(node, rng, size).tolist()
+            count, busy, nxt = self._walk(window, pauses, 0)
+            rows.append((count, self._walk(comm_time, pauses, nxt)[0], busy))
         return tuple(map(np.array, zip(*rows)))
 
     def batch_epoch(self, epoch: int, rngs, counts, comm_time: float):
         """``(duration, a, T)``; T_i is node i's duration."""
+        extra = self.window_pauses(comm_time)
         rows = []
         for node, (rng, count) in enumerate(zip(rngs, counts.tolist())):
-            draw = self._pause_stream(node, rng)
-            block = draw(max(count - 1, 0)).tolist()
-            busy = self._busy(count, block)
-            rows.append((busy, self._walk(comm_time, block, len(block), draw)[0], busy))
+            gaps = max(count - 1, 0)
+            pauses = self._draw(node, rng, gaps + extra).tolist()
+            busy = self._busy(count, pauses[:gaps])
+            rows.append((busy, self._walk(comm_time, pauses, gaps)[0], busy))
         return tuple(map(np.array, zip(*rows)))
 
     def _pause_moments(self, n: int):

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from ambsim import cli, engine, objectives, timing
+from ambsim import cli, engine, objectives
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TIMING_TRACE = GOLDEN_DIR / "timing_trace.csv"
@@ -270,7 +270,6 @@ CONSTANTS = [
     *((engine, "BLOCK_ADDRESSES", v) for v in (1, 37)),
     *((objectives, "_SLAB_VALUES", v) for v in (1, 30)),
     *((objectives, "_FEATURES_PER_CALL", v) for v in (1, 7, 10**6)),
-    (timing.GroupedPauseTiming, "FIRST_BLOCK", 1),
 ]
 
 

@@ -371,7 +371,7 @@ class TestPauseBlocks:
                 assert type(got[0]) is float
 
     @pytest.mark.parametrize("start_index", [0, 4])
-    def test_window_regrows_its_block_past_the_floor_estimate(self, monkeypatch, start_index):
+    def test_window_fits_a_gradient_past_the_floor_estimate(self, monkeypatch, start_index):
         # With no pauses, ten steps of 0.1 sum to 0.9999999999999999, so ten
         # gradients fit in a 1.0 window although 1.0 // 0.1 == 9.0.
         model = timing.GroupedPauseTiming(group_means=(-50.0,), group_vars=(1.0,),
@@ -385,16 +385,8 @@ class TestPauseBlocks:
         got = model.compute_window(0, 1, seed=8, window=1.0, start_index=start_index)
         assert got == want
         assert got[0] == 10 and got[2] == start_index + 10
-        # The block sized by the floor grows from the same generator, not a second one.
+        # The eleventh gradient's pause is drawn from the same generator as the rest.
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("model", MODELS)
-    def test_capped_first_block_regrows_to_the_same_pauses(self, model, monkeypatch):
-        monkeypatch.setattr(timing.GroupedPauseTiming, "FIRST_BLOCK", 2)
-        for start_index in (0, 5):
-            for window in (14.5, 60.0, 202.7):
-                got = model.compute_window(1, 3, seed=4, window=window, start_index=start_index)
-                assert got == reference_window(model, 1, 3, 4, window, start_index)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_epochs_match_two_separate_windows(self, model):
@@ -420,11 +412,9 @@ class TestPauseBlocks:
             assert [a.dtype.kind for a in got] == ["f", "i", "f"]
             assert list(zip(*(a.tolist() for a in got))) == want
 
-    @pytest.mark.parametrize("first_block", [timing.GroupedPauseTiming.FIRST_BLOCK, 2])
-    def test_one_stream_per_node_and_epoch(self, monkeypatch, first_block):
-        # A block of 2 makes both windows regrow it; every pause still comes
-        # from the one generator the caller passes, and none is addressed anew.
-        monkeypatch.setattr(timing.GroupedPauseTiming, "FIRST_BLOCK", first_block)
+    def test_one_stream_per_node_and_epoch(self, monkeypatch):
+        # Every pause comes from the one generator the caller passes, and none
+        # is addressed anew.
         model = self.MODELS[0]
         pairs = [(node, epoch) for node in range(len(model.assignment)) for epoch in (1, 2)]
         rngs = {(node, epoch, k): pause_rng(3, node, epoch)
