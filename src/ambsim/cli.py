@@ -343,14 +343,18 @@ def _epoch_rows(spec: ExperimentSpec, mode: str, tmodel, n: int, window: float):
 
     In fmb mode a node draws its ceil(batch / n) share. A linear-progress node also
     fits (window + communication time) * reference_batch / ``least_batch_time(n)``
-    gradients in its open windows. A grouped-pause window's walk cap bounds it.
+    gradients in its open windows, and a grouped-pause node about (window +
+    communication time) / base_gradient_time, named by its longer window's key.
     """
     if mode == "fmb" and spec.run["batch"] is None:
         raise ConfigError("key 'run.batch' is required in fmb mode")
     share = -(-spec.run["batch"] // n) if mode == "fmb" else 0
-    key, rows = "run.compute_time", 0
-    if spec.timing["kind"] in _LEAST_TIME_KEY:
-        span = window + spec.run["communication_time"]
+    comm = spec.run["communication_time"]
+    span = window + comm
+    if spec.timing["kind"] == "grouped_pause":
+        key = "run.compute_time" if window >= comm else "run.communication_time"
+        rows = span / tmodel.base_gradient_time
+    else:
         key, least = _LEAST_TIME_KEY[spec.timing["kind"]], tmodel.least_batch_time(n)
         if span > 0 and least == 0:
             raise ConfigError(f"key '{key}' is 0, so a batch time can be arbitrarily short "
@@ -559,6 +563,11 @@ def _cmd_bounds(args) -> int:
               "nothing to report")
         return 0
     trace = _run(spec, replace(config, matrix=matrix))
+    if trace.tau and not trace.potential_total:
+        key, _ = _epoch_rows(spec, config.mode, config.timing, config.graph.n,
+                             config.compute_time or 0.0)
+        raise ConfigError(f"key '{key}': no node finished a gradient in any epoch, so the "
+                          "run did no work and has no regret bound to report")
     est = objectives.estimate_constants(model, probe_count=64,
                                         seed=model.seed + 1_000_003, radius=config.radius)
     h_star = 0.5 * float(np.dot(model.w_star, model.w_star))

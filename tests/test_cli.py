@@ -595,14 +595,20 @@ class TestSubcommands:
         ("run", {"timing": {"kind": "grouped_pause", "group_means": [5.0], "group_vars": [1.0],
                             "assignment": [0] * 10, "base_gradient_time": 0.5}},
          "amb", "run.compute_time"),
+        # Its communication window fits more gradients than its compute window.
+        ("run", {"timing": {"kind": "grouped_pause", "group_means": [5.0], "group_vars": [1.0],
+                            "assignment": [0] * 10, "base_gradient_time": 0.5},
+                 "run": {"tau": 5, "compute_time": 2.5, "communication_time": 4.0, "batch": 600,
+                         "radius": 6.0, "seed": 21, "holdout": 100}},
+         "amb", "run.communication_time"),
         ("compare", {}, "amb", "timing.shift"),
         ("compare", {}, "fmb", "run.batch"),
         # Each node's share is 60 samples, and its communication window fits 10,000.
         ("run", {"mode": "fmb", "timing": {"kind": "deterministic", "period": 1e-3,
                                            "reference_batch": 10}}, "fmb", "timing.period"),
         ("bounds", {}, "amb", "timing.shift"),
-    ], ids=["fmb", "shifted-exponential", "deterministic", "grouped-pause", "compare-amb",
-            "compare-fmb", "fmb-window", "bounds"])
+    ], ids=["fmb", "shifted-exponential", "deterministic", "grouped-pause",
+            "grouped-pause-communication", "compare-amb", "compare-fmb", "fmb-window", "bounds"])
     def test_a_run_beyond_host_memory_names_the_key(self, tmp_path, capsys, monkeypatch,
                                                     command, sections, failing, key):
         run = engine.run
@@ -640,12 +646,19 @@ class TestSubcommands:
         ("run", {"objective": {"kind": "linear_regression", "dim": 1, "seed": 3},
                  "run": {"holdout": 2**34}}, "run.holdout"),
         ("bounds", {"timing": {"kind": "deterministic", "period": 1e-9}}, "timing.period"),
-    ], ids=["run-window", "run-holdout", "bounds-window"])
+        ("run", {"mode": "amb",
+                 "objective": {"kind": "linear_regression", "dim": 2000, "seed": 3},
+                 "timing": {"kind": "grouped_pause", "group_means": [0.0], "group_vars": [0.0],
+                            "assignment": [0, 0, 0], "base_gradient_time": 1.0},
+                 "run": {"compute_time": 2.0, "communication_time": 900000.0}},
+         "run.communication_time"),
+    ], ids=["run-window", "run-holdout", "bounds-window", "run-grouped-pause-communication"])
     def test_a_run_beyond_an_address_space_limit_names_the_key(self, tmp_path, command,
                                                                sections, key):
         # Each node-epoch of the window configs draws 10^9 samples of d = 8
-        # (59.6 GiB), and the holdout config 2^34 samples of d = 1 (128 GiB),
-        # all within numpy's address range; the child may map 2 GB.
+        # (59.6 GiB), the grouped-pause config 900,002 of d = 2000 (13.4 GiB),
+        # and the holdout config 2^34 samples of d = 1 (128 GiB), all within
+        # numpy's address range; the child may map 2 GB.
         def limit():
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
@@ -717,6 +730,18 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "sample-path bound" in out
         assert "empirical regret" in out
+
+    def test_bounds_on_a_run_without_work_names_the_key(self, tmp_path, capsys):
+        # A 9 s batch time leaves no gradient inside a 2 s window or a 1 s
+        # communication time, so every node's potential work is 0 in every epoch.
+        path = full_config(tmp_path, tmp_path / "out", topology={"kind": "complete", "n": 3},
+                           timing={"kind": "deterministic", "period": 9.0, "reference_batch": 1},
+                           run={"tau": 5, "compute_time": 2.0, "communication_time": 1.0,
+                                "radius": 6.0, "seed": 21, "holdout": 100})
+        assert cli.main(["bounds", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "key 'timing.period'" in err and "no node finished a gradient in any epoch" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["linear_compare", "paused_stragglers"])
     def test_bounds_prints_the_pinned_report_for_a_shipped_config(self, name, capsys,

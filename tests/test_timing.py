@@ -316,6 +316,17 @@ def pause_rng(seed, node, epoch):
     return seeding.substream(seed, seeding.PAUSES, node, epoch)
 
 
+class NormalSpy:
+    """A pause generator that records the size of each ``standard_normal`` call."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_normal(size)
+
+
 def reference_window(model, node, epoch, seed, window, start_index=0):
     """compute_window as one scalar pause() per gradient."""
     g = model.base_gradient_time
@@ -385,8 +396,34 @@ class TestPauseBlocks:
         got = model.compute_window(0, 1, seed=8, window=1.0, start_index=start_index)
         assert got == want
         assert got[0] == 10 and got[2] == start_index + 10
-        # The eleventh gradient's pause is drawn from the same generator as the rest.
+        # The tenth gradient's pause is in the one draw, from the one generator.
+        assert model.window_pauses(1.0) == 11
         assert len(calls) == 1
+
+    def test_pause_free_windows_at_the_cap_read_only_their_draw(self, monkeypatch):
+        # With no pauses a window fits the most gradients, and rounding may fit
+        # one more than window // g. A window just under the cap still reads
+        # only the window_pauses(window) pauses drawn for it.
+        cap = timing.GroupedPauseTiming.MAX_WINDOW_GRADIENTS
+        models = [timing.GroupedPauseTiming((-1.0,), (0.0,), (0,), g) for g in (0.1, 0.7)]
+        windows = []
+        for model in models:
+            window = cap * model.base_gradient_time
+            while window / model.base_gradient_time > cap:
+                window = math.nextafter(window, 0.0)
+            windows.append(window)
+            assert not model.pauses(0, 1, 8, 1000).any()
+        # Every pause is 0.0, so the scalar reference need not draw each one anew.
+        monkeypatch.setattr(timing.GroupedPauseTiming, "pause", lambda *args: 0.0)
+        for model, window in zip(models, windows):
+            want = reference_window(model, 0, 1, 8, window)
+            assert model.compute_window(0, 1, seed=8, window=window) == want
+            assert want[0] <= window // model.base_gradient_time + 1
+        # Both windows of one node-epoch at the cap, from one draw.
+        count, busy, nxt = want
+        want = [count, reference_window(model, 0, 1, 8, window, nxt)[0], busy]
+        got = model.window_epoch(1, [pause_rng(8, 0, 1)], window, window)
+        assert [a.tolist() for a in got] == [[v] for v in want]
 
     @pytest.mark.parametrize("model", MODELS)
     def test_epochs_match_two_separate_windows(self, model):
@@ -439,6 +476,23 @@ class TestPauseBlocks:
                                     np.full(len(nodes), 37), 60.0)
             assert list(zip(*(a.tolist() for a in got))) == [want[node, epoch, 1] for node in nodes]
         assert calls == []
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_one_normal_draw_per_node_epoch(self, model):
+        # Both windows of an anytime node-epoch, or a fixed batch's gaps and
+        # its communication window, take their pauses from one call.
+        nodes = range(len(model.assignment))
+        for window, comm in ((0.0, 60.0), (14.5, 0.0), (60.0, 14.5), (202.7, 60.0)):
+            spies = [NormalSpy(pause_rng(5, node, 2)) for node in nodes]
+            model.window_epoch(2, spies, window, comm)
+            size = model.window_pauses(window) + model.window_pauses(comm)
+            assert [spy.sizes for spy in spies] == [[size]] * len(nodes)
+        counts = np.resize([0, 1, 10, 37], len(nodes))
+        for comm in (0.0, 14.5, 60.0):
+            spies = [NormalSpy(pause_rng(6, node, 4)) for node in nodes]
+            model.batch_epoch(4, spies, counts, comm)
+            assert [spy.sizes for spy in spies] == [[max(count - 1, 0) + model.window_pauses(comm)]
+                                                    for count in counts.tolist()]
 
     @pytest.mark.parametrize("model", MODELS)
     def test_windows_beyond_the_walk_cap_raise_before_drawing(self, model):
