@@ -385,7 +385,7 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     compute_time = None
     if mode in ("amb", "serial"):
         compute_time = _resolve_compute_time(spec, graph, tmodel)
-    if spec.timing["kind"] == "grouped_pause":  # the walk cap
+    if spec.timing["kind"] == "grouped_pause":  # a window over the walk cap fails here
         for key, window in (("run.communication_time", spec.run["communication_time"]),
                             ("run.compute_time", compute_time or 0.0)):
             with _naming(key):

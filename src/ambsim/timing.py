@@ -397,8 +397,8 @@ class GroupedPauseTiming:
         Pauses that would overrun the window are truncated at the deadline. A
         follow-up window in the same epoch continues the stream at ``next_index``.
         """
-        count = start_index + self.window_pauses(window)
-        return self._walk(window, self.pauses(node, epoch, seed, count).tolist(), start_index)
+        size = start_index + self.window_pauses(window)
+        return self._walk(window, self.pauses(node, epoch, seed, size).tolist(), start_index)
 
     def fixed_count_time(self, node: int, epoch: int, seed: int, count: int,
                          start_index: int = 0):
