@@ -37,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from ambsim import cli, engine, objectives
+from ambsim import cli, engine, objectives, timing
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TIMING_TRACE = GOLDEN_DIR / "timing_trace.csv"
@@ -280,6 +280,16 @@ def test_digests_hold_at_extreme_module_constants(name, owner, constant, value, 
                                                   monkeypatch):
     monkeypatch.setattr(owner, constant, value)
     check_digests(name, tmp_path)
+
+
+@pytest.mark.parametrize("slack", [1, 4096])
+def test_paused_digests_hold_with_oversized_pause_draws(slack, tmp_path, monkeypatch):
+    # Each node-epoch draws its pauses in one call sized by window_pauses. The
+    # draws are prefix-stable, so drawing more than the windows read moves no bit.
+    window_pauses = timing.GroupedPauseTiming.window_pauses
+    monkeypatch.setattr(timing.GroupedPauseTiming, "window_pauses",
+                        lambda self, window: window_pauses(self, window) + slack)
+    check_digests("paused_compare", tmp_path)
 
 
 @pytest.mark.parametrize("name", ["paused_compare", "shiftexp_compare"])

@@ -426,6 +426,33 @@ class TestPauseBlocks:
         assert [a.tolist() for a in got] == [[v] for v in want]
 
     @pytest.mark.parametrize("model", MODELS)
+    def test_window_pauses_cover_windows_that_are_sums_of_gradients(self, model):
+        # A pause-free window of exactly k summed gradients fits all k of them,
+        # whatever window // g rounds to, and reads only the pauses drawn for it.
+        g, n = model.base_gradient_time, len(model.assignment)
+        free = timing.GroupedPauseTiming((-1.0,), (0.0,), (0,) * n, g)
+        window = 0.0
+        for k in range(300):
+            for start_index in (0, 5):
+                got = free.compute_window(0, 3, seed=2, window=window, start_index=start_index)
+                assert got == (k, window, start_index + k)
+            assert k <= free.window_pauses(window) - 1 == int(window // g) + 1
+            got = free.window_epoch(3, [pause_rng(2, node, 3) for node in range(n)], window, window)
+            assert [a.tolist() for a in got] == [[k] * n, [k] * n, [window] * n]
+            window += g
+
+    def test_window_pauses_is_the_rule_the_walk_keeps(self):
+        model = timing.GroupedPauseTiming((1.0,), (1.0,), (0,), 0.5)
+        cap = model.MAX_WINDOW_GRADIENTS
+        assert [model.window_pauses(w) for w in (0.0, 0.49, 0.5, 7.25)] == [2, 2, 3, 16]
+        assert model.window_pauses(cap * 0.5) == cap + 2
+        with pytest.raises(ValueError, match=f"at most {cap} are allowed"):
+            model.window_pauses(math.nextafter(cap * 0.5, math.inf))
+        for window in (math.inf, math.nan, -1.0, -1e-300):
+            with pytest.raises(ValueError, match="window must be finite and non-negative"):
+                model.window_pauses(window)
+
+    @pytest.mark.parametrize("model", MODELS)
     def test_epochs_match_two_separate_windows(self, model):
         # The communication window continues the compute phase's stream at
         # the index where that phase stopped. The all-node call answers each
