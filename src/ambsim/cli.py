@@ -216,19 +216,13 @@ def parse_config(path) -> ExperimentSpec:
     with open(path, "r", encoding="utf-8") as fh:
         spec = ExperimentSpec(**_section(json.load(fh), _SCHEMA, ""))
 
-    rounds = spec.consensus["rounds"]
-    uniform = type(rounds) is list and len(rounds) == 3 and rounds[0] == "uniform"
-    counts = rounds[1:] if uniform else [] if rounds == "exact" else [rounds]
-    if not all(type(c) is int and c >= 1 for c in counts) or counts != sorted(counts):
-        raise ConfigError("key 'consensus.rounds' must be an integer >= 1, 'exact', or "
-                          f"['uniform', low, high] with integers 1 <= low <= high, got {rounds!r}")
+    with _naming("consensus.rounds"):
+        spec.consensus["rounds"] = engine.round_counts(spec.consensus["rounds"])
 
     tim = spec.timing
     if tim["kind"] == "grouped_pause":
         groups = len(tim["group_means"])
-        if tim["group_vars"] is None:
-            tim["group_vars"] = [float((j + 1) ** 2) for j in range(groups)]
-        if len(tim["group_vars"]) != groups:
+        if tim["group_vars"] is not None and len(tim["group_vars"]) != groups:
             raise ConfigError("key 'timing.group_vars' must have one entry per group mean")
         if any(j >= groups for j in tim["assignment"]):
             raise ConfigError(f"key 'timing.assignment' must list group indices in "
@@ -297,8 +291,9 @@ def build_timing(section: dict):
     if kind == "deterministic":
         return timing.DeterministicTiming(section["period"], section["reference_batch"])
     if kind == "grouped_pause":
+        variances = section["group_vars"]
         return timing.GroupedPauseTiming(
-            tuple(section["group_means"]), tuple(section["group_vars"]),
+            tuple(section["group_means"]), None if variances is None else tuple(variances),
             tuple(section["assignment"]), section["base_gradient_time"])
     with _naming("timing.path"):
         return timing.load_timing_trace(section["path"], section["reference_batch"])
@@ -399,11 +394,6 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
                           f"{model.dim} in one epoch{least}, more than one numpy array can hold")
     schedule = _resolve_schedule(spec, model, graph, tmodel, radius,
                                  compute_time if compute_time is not None else 1.0, mode)
-    rounds = spec.consensus["rounds"]
-    if isinstance(rounds, list):
-        rounds = tuple(rounds)
-    if mode == "serial":
-        rounds = "exact"
     return engine.RunConfig(
         mode=mode,
         graph=graph,
@@ -416,7 +406,7 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
         seed=seed,
         compute_time=compute_time,
         batch=spec.run["batch"],
-        rounds=rounds,
+        rounds="exact" if mode == "serial" else spec.consensus["rounds"],
         scheme=spec.consensus["scheme"],
         exact_batch_norm=spec.consensus["exact_batch_norm"],
     )

@@ -132,15 +132,17 @@ class RunConfig:
                 raise ValueError("serial mode runs on a single-node graph")
             if self.rounds != "exact":
                 raise ValueError("serial mode requires rounds='exact'")
-        if isinstance(self.rounds, int):
-            if self.rounds < 1:
-                raise ValueError(f"round count must be at least 1, got {self.rounds}")
-        elif isinstance(self.rounds, tuple):
-            kind, low, high = self.rounds
-            if kind != "uniform" or low < 1 or high < low:
-                raise ValueError(f"bad per-node round spec {self.rounds!r}")
-        elif self.rounds != "exact":
-            raise ValueError(f"bad rounds spec {self.rounds!r}")
+        object.__setattr__(self, "rounds", round_counts(self.rounds))
+
+
+def round_counts(rounds):
+    """``rounds`` in :class:`RunConfig`'s form (a list becomes the tuple); bools are not counts."""
+    uniform = type(rounds) in (list, tuple) and len(rounds) == 3 and rounds[0] == "uniform"
+    counts = list(rounds[1:]) if uniform else [] if rounds == "exact" else [rounds]
+    if not all(type(c) is int and c >= 1 for c in counts) or counts != sorted(counts):
+        raise ValueError("rounds must be an integer >= 1, 'exact', or ['uniform', low, high] "
+                         f"with integers 1 <= low <= high, got {rounds!r}")
+    return tuple(rounds) if uniform else rounds
 
 
 @dataclass

@@ -350,11 +350,6 @@ def gradient_variance_at(model, w, sample_count: int, seed: int) -> float:
     return float(np.mean(((grads - center) ** 2).sum(axis=1)))
 
 
-def _row_norms(v) -> np.ndarray:
-    """Euclidean row norms from numpy pairwise sums; ``np.linalg.norm`` calls BLAS ``ddot``."""
-    return np.sqrt((v * v).sum(axis=1))
-
-
 def _probe_slopes(model, probe_count: int, seed: int, radius: float):
     """The smoothness and Lipschitz estimates of :func:`estimate_constants`.
 
@@ -374,22 +369,23 @@ def _probe_slopes(model, probe_count: int, seed: int, radius: float):
         points[i] = rng.standard_normal(dim)
         shrink[i] = rng.uniform(0.0, 1.0) ** (1.0 / min(dim, 64))
         directions[i] = rng.standard_normal(dim)
-    points *= (radius * shrink / _row_norms(points))[:, None]
+    points *= (radius * shrink / np.linalg.norm(points, axis=1))[:, None]
     features = np.zeros((probe_count, dim))
     features[:, : x.shape[1]] = x
-    has_feature = np.flatnonzero(_row_norms(features) > 0)
+    has_feature = np.flatnonzero(np.linalg.norm(features, axis=1) > 0)
     # Each probe's gradient at its point, then at the point moved by ``step``
     # along the random direction and along the feature direction.
     rows = np.concatenate([np.arange(probe_count), np.arange(probe_count), has_feature])
     moves = np.concatenate([directions, features[has_feature]])
-    moves /= _row_norms(moves)[:, None]
+    moves /= np.linalg.norm(moves, axis=1)[:, None]
     step = 1e-3 * radius
     at = points[rows]
     at[probe_count:] += step * moves
     grads = model.loss_and_grad_rows(at, x[rows], y[rows], len(rows))[1].reshape(len(rows), dim)
     base = grads[:probe_count]
-    lipschitz = float(_row_norms(base).max())
-    smooth = float((_row_norms(grads[probe_count:] - base[rows[probe_count:]]) / step).max())
+    lipschitz = float(np.linalg.norm(base, axis=1).max())
+    smooth = float((np.linalg.norm(grads[probe_count:] - base[rows[probe_count:]], axis=1)
+                    / step).max())
     return smooth, lipschitz, rng
 
 
@@ -408,7 +404,7 @@ def estimate_constants(model, probe_count: int, seed: int, radius: float = 1.0) 
     """
     smooth, lipschitz, rng = _probe_slopes(model, probe_count, seed, radius)
     centers = rng.standard_normal((max(2, probe_count // 8), model.dim))
-    centers *= (radius / _row_norms(centers))[:, None]
+    centers *= (radius / np.linalg.norm(centers, axis=1))[:, None]
     variance = max(gradient_variance_at(model, w, max(8, probe_count), seed + 7919 * j)
                    for j, w in enumerate(centers, 1))
     return EstimatedConstants(

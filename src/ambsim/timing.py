@@ -290,7 +290,8 @@ class GroupedPauseTiming:
     """Fixed per-gradient compute time plus a grouped random pause after each gradient.
 
     Node ``i`` belongs to group ``assignment[i]``; after every gradient it
-    pauses for ``max(0, N(group_means[j], group_vars[j]))``. The pause
+    pauses for ``max(0, N(group_means[j], group_vars[j]))``; ``group_vars``
+    None gives group j the variance (j+1)^2. The pause
     after gradient k of node i in epoch t is element k of the stream
     ``(PAUSES, i, t)``, whose pauses for one epoch are drawn in one call.
     Inside a fixed compute window the pause is additionally truncated at
@@ -310,6 +311,9 @@ class GroupedPauseTiming:
     MAX_WINDOW_GRADIENTS = 1_000_000
 
     def __post_init__(self):
+        if self.group_vars is None:
+            object.__setattr__(self, "group_vars",
+                               tuple(float((j + 1) ** 2) for j in range(len(self.group_means))))
         if len(self.group_means) != len(self.group_vars):
             raise ValueError("group_means and group_vars must have equal length")
         if not 0.0 < self.base_gradient_time < math.inf:
@@ -328,11 +332,9 @@ class GroupedPauseTiming:
     def default_groups(cls, group_means=(5.0, 10.0, 20.0, 35.0, 55.0),
                        nodes_per_group: int = 2, base_gradient_time: float = 5.0,
                        group_vars=None):
-        """Model with the bundled five-group structure; variances default to (j+1)^2."""
-        if group_vars is None:
-            group_vars = tuple(float((j + 1) ** 2) for j in range(len(group_means)))
+        """Model with the bundled five-group structure; variances default as in the class."""
         assignment = tuple(j for j in range(len(group_means)) for _ in range(nodes_per_group))
-        return cls(tuple(float(m) for m in group_means), tuple(float(v) for v in group_vars),
+        return cls(tuple(map(float, group_means)), group_vars and tuple(map(float, group_vars)),
                    assignment, base_gradient_time)
 
     def window_pauses(self, window: float) -> int:

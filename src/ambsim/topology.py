@@ -109,8 +109,6 @@ def complete_graph(n: int) -> Graph:
 def ring_graph(n: int) -> Graph:
     if n < 2:
         return make_graph(n, ())
-    if n == 2:
-        return make_graph(2, [(0, 1)])
     return make_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 

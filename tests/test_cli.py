@@ -432,6 +432,21 @@ class TestSubcommands:
         assert "consensus.rounds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("rounds", [["uniform", 2.7, 3.9], 0, ["uniform", 2], "never"])
+    def test_round_counts_are_the_library_rule(self, tmp_path, capsys, rounds):
+        path = full_config(tmp_path, tmp_path / "out", consensus={"rounds": rounds})
+        assert cli.main(["run", str(path)]) == 1
+        with pytest.raises(ValueError) as library:
+            engine.round_counts(rounds)
+        assert f"error: key 'consensus.rounds': {library.value}\n" == capsys.readouterr().err
+
+    def test_omitted_group_vars_take_the_model_default(self, tmp_path):
+        for vars_ in (None, [1.0, 4.0, 9.0, 16.0, 25.0]):
+            spec = cli.parse_config(paused_config(tmp_path, tmp_path / "out",
+                                                  timing={"group_vars": vars_}))
+            model = cli.build_run_config(spec, 1).timing
+            assert model.group_vars == (1.0, 4.0, 9.0, 16.0, 25.0)
+
     @pytest.mark.parametrize("key, sections", [
         ("run.communication_time", {"run": {"communication_time": math.inf}}),
         ("run.compute_time", {"run": {"compute_time": math.inf}}),

@@ -60,6 +60,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(rounds="sometimes")
 
+    @pytest.mark.parametrize("rounds", [True, ("uniform", 2.5, 3.5), ("uniform", 2),
+                                        ["uniform", True, 2], ("uniform", 4, 2), 2.0])
+    def test_round_counts_follow_the_cli_rule(self, rounds):
+        # The first three ran at 1 round, ran with 2 rounds below low, and failed unpacking.
+        with pytest.raises(ValueError, match=r"integers 1 <= low <= high, got"):
+            small_config(rounds=rounds)
+
+    def test_round_counts_take_the_cli_forms(self):
+        assert small_config(rounds=["uniform", 2, 6]).rounds == ("uniform", 2, 6)
+        assert small_config(rounds=("uniform", 3, 3)).rounds == ("uniform", 3, 3)
+        assert small_config(rounds="exact").rounds == "exact"
+        assert small_config(rounds=7).rounds == 7
+
     @pytest.mark.parametrize("holdout", [
         400, 0, [1.0, 2.0], (np.zeros((4, 6)),),
         # No rows, labels for fewer rows, rows of the wrong width, features as one row.

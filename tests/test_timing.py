@@ -534,6 +534,12 @@ class TestPauseBlocks:
         with pytest.raises(ValueError, match="at most"):
             model.compute_window(0, 1, seed=1, window=beyond)
 
+    def test_variances_default_to_j_plus_1_squared(self):
+        model = timing.GroupedPauseTiming((5.0, 10.0, 20.0), None, (0, 1, 2), 5.0)
+        assert model.group_vars == (1.0, 4.0, 9.0)
+        assert all(type(v) is float for v in model.group_vars)
+        assert timing.GroupedPauseTiming.default_groups().group_vars == (1.0, 4.0, 9.0, 16.0, 25.0)
+
     def test_rejects_non_finite_inputs(self):
         with pytest.raises(ValueError, match="group means"):
             timing.GroupedPauseTiming((math.nan,), (1.0,), (0,), 1.0)
