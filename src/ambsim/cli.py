@@ -364,15 +364,13 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     mode = mode or spec.mode
     model = build_objective(spec.objective)
     graph = topology.complete_graph(1) if mode == "serial" else build_graph(spec.topology)
-    if spec.timing["kind"] == "grouped_pause":
-        # Serial mode runs node 0 of the configured assignment.
-        assigned = len(spec.timing["assignment"])
-        if assigned != graph.n and not (mode == "serial" and assigned):
-            raise ConfigError(f"key 'timing.assignment' has {assigned} entries, "
-                              f"but the graph has {graph.n} nodes")
     tmodel = build_timing(spec.timing)
-    if spec.timing["kind"] == "trace" and len(tmodel.table) < graph.n:
-        raise ConfigError(f"key 'timing.path' has batch times for {len(tmodel.table)} nodes, "
+    paused = spec.timing["kind"] == "grouped_pause"
+    with _naming("timing.assignment" if paused else "timing.path"):
+        tmodel.check_nodes(graph.n)
+    # Serial mode runs node 0 of the configured assignment; other modes give each node one entry.
+    if paused and mode != "serial" and len(tmodel.assignment) != graph.n:
+        raise ConfigError(f"key 'timing.assignment' has {len(tmodel.assignment)} entries, "
                           f"but the graph has {graph.n} nodes")
     radius = spec.run["radius"]
     if radius == "auto":
@@ -380,7 +378,7 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     compute_time = None
     if mode in ("amb", "serial"):
         compute_time = _resolve_compute_time(spec, graph, tmodel)
-    if spec.timing["kind"] == "grouped_pause":  # a window over the walk cap fails here
+    if paused:  # a window over the walk cap fails here
         for key, window in (("run.communication_time", spec.run["communication_time"]),
                             ("run.compute_time", compute_time or 0.0)):
             with _naming(key):

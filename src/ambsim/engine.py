@@ -133,6 +133,9 @@ class RunConfig:
             if self.rounds != "exact":
                 raise ValueError("serial mode requires rounds='exact'")
         object.__setattr__(self, "rounds", round_counts(self.rounds))
+        self.timing.check_nodes(self.graph.n)
+        if self.matrix is not None and len(self.matrix.matrix) != self.graph.n:
+            raise ValueError(f"matrix has {len(self.matrix.matrix)} rows for {self.graph.n} nodes")
 
 
 def round_counts(rounds):

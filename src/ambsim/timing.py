@@ -1,6 +1,6 @@
 """Stochastic compute-time models for workers.
 
-Every model answers the same three calls, which are all the engine and
+Every model answers the same four calls, which are all the engine and
 the CLI know of timing:
 
 - ``window_epoch(epoch, rngs, window, comm_time)`` returns the arrays
@@ -13,6 +13,7 @@ the CLI know of timing:
   ``counts[i]`` gradients, then a_i and T_i as above.
 - ``mean_window_batch(window, n)`` is the expected global batch of an
   anytime epoch on nodes ``0..n-1``; it sets the ``"auto"`` work scale.
+- ``check_nodes(n)`` raises ValueError unless the model times nodes ``0..n-1``.
 
 Two families answer them. Linear-progress models (shifted exponential,
 deterministic, trace replay) describe the time to finish a reference
@@ -111,6 +112,9 @@ class _LinearProgress:
     def mean_window_batch(self, window: float, n: int) -> float:
         per_grad = self.mean_batch_time() / self.reference_batch
         return n * window / per_grad
+
+    def check_nodes(self, n: int):
+        """A model without per-node data times any node; a trace overrides this."""
 
 
 @dataclass(frozen=True)
@@ -214,6 +218,10 @@ class TraceTiming(_LinearProgress):
             raise ValueError("trace batch times must be positive and finite")
         if self.reference_batch < 1:
             raise ValueError(f"reference batch must be positive, got {self.reference_batch}")
+
+    def check_nodes(self, n: int):
+        if len(self.table) < n:
+            raise ValueError(f"the trace lists {len(self.table)} nodes, but the graph has {n} nodes")
 
     def draw_batch_time(self, node: int, epoch: int, rng) -> float:
         times = self.table[node]
@@ -353,6 +361,10 @@ class GroupedPauseTiming:
                              f"base_gradient_time {g:g}; at most "
                              f"{self.MAX_WINDOW_GRADIENTS} are allowed")
         return int(window // g) + 2
+
+    def check_nodes(self, n: int):
+        if len(self.assignment) < n:
+            raise ValueError(f"the assignment has {len(self.assignment)} entries for {n} nodes")
 
     def _draw(self, node: int, rng, count: int) -> np.ndarray:
         """The next ``count`` pauses of ``rng``, stream ``(PAUSES, node, epoch)``; < 0 is 0."""

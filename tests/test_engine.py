@@ -67,6 +67,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"integers 1 <= low <= high, got"):
             small_config(rounds=rounds)
 
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(timing=timing.GroupedPauseTiming((5.0,), (1.0,), (0, 0, 0), 5.0)),
+         "assignment has 3 entries for 10 nodes"),
+        (dict(timing=timing.TraceTiming(((1.0,), (2.0,)), 1)),
+         "trace lists 2 nodes, but the graph has 10 nodes"),
+        (dict(matrix=topology.build_consensus_matrix(topology.complete_graph(5))),
+         "matrix has 5 rows for 10 nodes"),
+        (dict(matrix=topology.build_consensus_matrix(topology.complete_graph(12))),
+         "matrix has 12 rows for 10 nodes"),
+    ], ids=["short-assignment", "short-trace", "matrix-5", "matrix-12"])
+    def test_a_config_that_misses_graph_nodes_fails_when_built(self, overrides, match):
+        # Each of these built, then raised IndexError once the run reached the missing node.
+        with pytest.raises(ValueError, match=match):
+            small_config(**overrides)
+
+    def test_models_and_matrices_that_cover_the_graph_build(self):
+        graph = topology.testbed_graph()
+        trace = timing.TraceTiming(tuple((1.0 + i,) for i in range(12)), 1)
+        pauses = timing.GroupedPauseTiming((5.0,), (1.0,), (0,) * 10, 5.0)
+        matrix = topology.build_consensus_matrix(graph)
+        for overrides in (dict(timing=trace), dict(timing=pauses), dict(matrix=matrix)):
+            assert engine.run(small_config(tau=1, **overrides)).tau == 1
+
     def test_round_counts_take_the_cli_forms(self):
         assert small_config(rounds=["uniform", 2, 6]).rounds == ("uniform", 2, 6)
         assert small_config(rounds=("uniform", 3, 3)).rounds == ("uniform", 3, 3)
