@@ -781,3 +781,40 @@ class TestSubcommands:
     def test_gnuplot_subcommand(self, capsys):
         assert cli.main(["gnuplot", "trace.csv"]) == 0
         assert "plot 'trace.csv'" in capsys.readouterr().out
+
+
+class TestSizingRule:
+    @pytest.mark.parametrize("mode", ["amb", "fmb"])
+    @pytest.mark.parametrize("section", [
+        {"kind": "shifted_exponential", "rate": 1000.0, "shift": 1.0, "reference_batch": 10},
+        {"kind": "deterministic", "period": 1.0, "reference_batch": 10},
+        {"kind": "trace", "path": str(TIMING_TRACE), "reference_batch": 10},
+        # Pause-free, so each window fits as many gradients as its length allows.
+        {"kind": "grouped_pause", "group_means": [0.0], "group_vars": [0.0],
+         "assignment": [0] * 4, "base_gradient_time": 0.1},
+    ], ids=lambda section: section["kind"])
+    def test_no_node_epoch_draws_more_rows_than_the_rule_reports(self, tmp_path, monkeypatch,
+                                                                  mode, section):
+        run = {"tau": 3, "compute_time": 2.0, "communication_time": 1.0, "batch": 40,
+               "radius": 6.0, "seed": 5}
+        path = full_config(tmp_path, tmp_path / "out", mode=mode, timing=section, run=run,
+                           topology={"kind": "complete", "n": 4})
+        spec = cli.parse_config(path)
+        config = cli.build_run_config(spec, seed=5)
+        window = config.compute_time or 0.0
+        _, rows = cli._epoch_rows(spec, mode, config.timing, config.graph.n, window)
+        # The pause rule is "about" its windows' length over base_gradient_time: rounding in
+        # a walk can fit one more gradient in each open window.
+        slack = (window > 0) + (config.comm_time > 0) if section["kind"] == "grouped_pause" else 0
+        drawn = []
+        draw_rows = objectives.LinearRegressionObjective.draw_rows
+
+        def spy(self, counts, lanes):
+            drawn.extend(counts)
+            return draw_rows(self, counts, lanes)
+
+        monkeypatch.setattr(objectives.LinearRegressionObjective, "draw_rows", spy)
+        engine.run(config)
+        assert len(drawn) == 3 * 4
+        # The rule is close to what the node-epochs draw, so a bound that counted too few rows fails.
+        assert rows / 2 < max(drawn) <= rows + slack
