@@ -224,9 +224,6 @@ def parse_config(path) -> ExperimentSpec:
         groups = len(tim["group_means"])
         if tim["group_vars"] is not None and len(tim["group_vars"]) != groups:
             raise ConfigError("key 'timing.group_vars' must have one entry per group mean")
-        if any(j >= groups for j in tim["assignment"]):
-            raise ConfigError(f"key 'timing.assignment' must list group indices in "
-                              f"[0, {groups}), got {tim['assignment']!r}")
 
     seeds = spec.output["seeds"]
     if seeds is not None and (not seeds or len(set(seeds)) != len(seeds)):
@@ -292,9 +289,10 @@ def build_timing(section: dict):
         return timing.DeterministicTiming(section["period"], section["reference_batch"])
     if kind == "grouped_pause":
         variances = section["group_vars"]
-        return timing.GroupedPauseTiming(
-            tuple(section["group_means"]), None if variances is None else tuple(variances),
-            tuple(section["assignment"]), section["base_gradient_time"])
+        with _naming("timing.assignment"):  # parse_config checks the model's other rules
+            return timing.GroupedPauseTiming(
+                tuple(section["group_means"]), None if variances is None else tuple(variances),
+                tuple(section["assignment"]), section["base_gradient_time"])
     with _naming("timing.path"):
         return timing.load_timing_trace(section["path"], section["reference_batch"])
 

@@ -298,9 +298,9 @@ class GroupedPauseTiming:
     """Fixed per-gradient compute time plus a grouped random pause after each gradient.
 
     Node ``i`` belongs to group ``assignment[i]``; after every gradient it
-    pauses for ``max(0, N(group_means[j], group_vars[j]))``; ``group_vars``
-    None gives group j the variance (j+1)^2. The pause
-    after gradient k of node i in epoch t is element k of the stream
+    pauses for ``max(0, N(group_means[j], group_vars[j]))``, and
+    ``group_vars`` None gives group j the variance (j+1)^2. The pause after
+    gradient k of node i in epoch t is element k of the stream
     ``(PAUSES, i, t)``, whose pauses for one epoch are drawn in one call.
     Inside a fixed compute window the pause is additionally truncated at
     the window end (the node stays idle until the deadline). The base
@@ -334,7 +334,7 @@ class GroupedPauseTiming:
                              f"got {self.group_vars}")
         for j in self.assignment:
             if not 0 <= j < len(self.group_means):
-                raise ValueError(f"group index {j} out of range")
+                raise ValueError(f"group index {j} is not in [0, {len(self.group_means)})")
 
     @classmethod
     def default_groups(cls, group_means=(5.0, 10.0, 20.0, 35.0, 55.0),
