@@ -33,9 +33,9 @@ slope = float(np.polyfit(np.log(m), np.log(regret), 1)[0])
 print(f"epochs: {trace.tau}, potential samples: {trace.potential_total}")
 print(f"log-log slope of regret vs potential work: {slope:.3f} (square-root growth = 0.5)")
 
-print("\n      samples     regret (processed)   regret (potential)")
+print("\n      samples     regret (potential)")
 for k in (0, 9, 49, 99, 199):
-    print(f"  {int(m[k]):9d}      {trace.regret.processed[k]:14.1f}      {regret[k]:14.1f}")
+    print(f"  {int(m[k]):9d}      {regret[k]:14.1f}")
 
 est = estimate_constants(model, probe_count=64, seed=43, radius=radius)
 h_star = 0.5 * float(np.dot(model.w_star, model.w_star))

@@ -18,8 +18,8 @@ Gradients are computed for real; only the clock is simulated. The gradient
 phase scores the nodes with work in chunks of consecutive nodes, at most
 ``CHUNK_VALUES`` sample values each: every node's samples are drawn into
 its slice of the chunk, the model's row-wise loss and gradient pass runs
-once per chunk, and each node's gradient mean and loss sums reduce its own
-slice.
+once per chunk, and each node's gradient mean and potential-work loss sum
+reduce its own slice.
 
 A run is a pure function of its config, including the seed: per-node work
 may be reordered, grouped or parallelized without changing a single output
@@ -169,11 +169,11 @@ class EpochRecord:
     the communication window (recorded only, never computed).
     ``compute_duration`` is the compute window, or the slowest node's
     finishing time in fixed-batch mode. ``consensus_error`` is the worst
-    node's distance to the error-free dual update. ``loss_sum_processed``
-    sums losses over each node's processed samples; ``loss_sum_potential``
-    extends the sum over the extra-capacity samples when the objective
-    knows its optimum value, and is NaN otherwise, since only the regret
-    series reads it and the run then neither draws nor scores those samples.
+    node's distance to the error-free dual update. ``loss_sum_potential``
+    sums losses over each node's b_i + a_i potential-work samples when the
+    objective knows its optimum value, and is NaN otherwise, since only the
+    regret series reads it and the run then neither draws nor scores the
+    extra-capacity samples.
     """
 
     epoch: int
@@ -188,7 +188,6 @@ class EpochRecord:
     consensus_error: float
     empty_batch: bool
     degenerate_nodes: int
-    loss_sum_processed: np.ndarray
     loss_sum_potential: np.ndarray
     primal_after: np.ndarray
 
@@ -319,26 +318,25 @@ def _chunks(counts: list, cap: int):
 
 def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
                           batch_sizes: np.ndarray, extra: np.ndarray, streams: _Streams):
-    """Draw each node's samples, average gradients, and record loss sums.
+    """Draw each node's samples, average gradients, and sum potential-work losses.
 
     The nodes with work are scored a chunk at a time (see :func:`_chunks`).
     Each node's b_i + a_i samples are drawn into its slice of the chunk, and
     the model's row-wise pass runs once over the chunk, with each node's
     primal row repeated over its rows. Each node's gradient mean and loss
-    sums then reduce its own rows alone, so every bit is that of a pass
+    sum then reduce its own rows alone, so every bit is that of a pass
     over the node's samples on their own. Gradient rows of nodes without a
     batch stay zero.
 
-    Only the regret series reads the extra-capacity losses, and only when
-    the model knows its optimum value. Without one, each node draws and
-    scores its b_i batch samples alone, and every potential loss sum is NaN.
+    Only the regret series reads the losses, and only when the model knows
+    its optimum value. Without one, each node draws and scores its b_i
+    batch samples alone, sums no losses, and every loss sum is NaN.
     """
     n = config.graph.n
     model = config.objective
     grads = np.zeros_like(state.primal)
-    loss_b = np.zeros(n)
-    loss_c = np.zeros(n)
     potential = getattr(model, "optimum_value", None) is not None
+    loss_c = np.zeros(n) if potential else np.full(n, np.nan)
     counts = (batch_sizes + extra if potential else batch_sizes).tolist()
     batches = batch_sizes.tolist()
     for nodes in _chunks(counts, max(1, CHUNK_VALUES // model.dim)):
@@ -356,15 +354,12 @@ def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
             start, end = end, end + count
             if b:
                 np.add.reduce(rows[start:start + b], axis=0, out=sums[i])
-                loss_b[i] = np.add.reduce(losses[start:start + b])
-            # Without extra capacity both loss sums cover the same rows.
-            loss_c[i] = loss_b[i] if b == count else np.add.reduce(losses[start:end])
+            if potential:
+                loss_c[i] = np.add.reduce(losses[start:end])
         # Free this chunk's arrays before the next chunk allocates its own.
         del x, y, w, losses, rows, sums
     grads /= np.maximum(batch_sizes, 1)[:, None]
-    if not potential:
-        loss_c[:] = np.nan
-    return grads, loss_b, loss_c
+    return grads, loss_c
 
 
 def _dual_update(config: RunConfig, state: EngineState, t: int,
@@ -410,7 +405,7 @@ def _dual_update(config: RunConfig, state: EngineState, t: int,
 def _epoch(state: EngineState, config: RunConfig, t: int, streams: _Streams, b: np.ndarray,
            a: np.ndarray, times: np.ndarray, compute: float, wall_end: float):
     """The epoch after its compute phase: gradients, consensus, primal map, record."""
-    grads, loss_b, loss_c = _gradients_and_losses(config, state, t, b, a, streams)
+    grads, loss_c = _gradients_and_losses(config, state, t, b, a, streams)
     primal, dual, err, rounds_used, degenerate, empty = _dual_update(config, state, t, b, grads,
                                                                      streams)
     record = EpochRecord(
@@ -426,7 +421,6 @@ def _epoch(state: EngineState, config: RunConfig, t: int, streams: _Streams, b: 
         consensus_error=err,
         empty_batch=empty,
         degenerate_nodes=degenerate,
-        loss_sum_processed=loss_b,
         loss_sum_potential=loss_c,
         primal_after=primal,
     )

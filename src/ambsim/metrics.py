@@ -34,18 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegretSeries:
-    """Cumulative excess loss over the fixed optimum, per epoch.
+    """Cumulative excess loss over the fixed optimum, per epoch, charged on potential work.
 
-    ``processed`` counts only samples whose gradients entered the run;
-    ``potential`` extends each node's sum over the gradients it could
-    have computed during the communication window (the work the protocol
-    pays for but a fixed-batch scheme would waste). ``samples_*`` are the
-    matching cumulative sample counts.
+    ``potential`` sums each node's losses over its b_i processed samples and
+    the a_i it could have computed during the communication window (the work
+    the protocol pays for but a fixed-batch scheme would waste).
+    ``samples_potential`` is the matching cumulative sample count.
     """
 
-    processed: np.ndarray
     potential: np.ndarray
-    samples_processed: np.ndarray
     samples_potential: np.ndarray
 
 
@@ -83,23 +80,17 @@ class RunTrace:
 
 
 def empirical_regret(records, optimum_value: float) -> RegretSeries:
-    """Cumulative regret series from recorded per-node loss sums.
+    """Cumulative potential-work regret series from recorded per-node loss sums.
 
-    The regret after ``t`` epochs is the sum of recorded per-sample
-    losses up to ``t`` minus the number of samples times the optimum
-    objective value, in both the processed and the potential-work
-    accounting. A run whose objective knows its optimum value evaluates
-    the losses of its extra-capacity samples, so the potential series sums
-    recorded losses too; a run without one records NaN potential sums,
-    and :func:`build_trace` builds no regret series for it.
+    The regret after ``t`` epochs is the sum of recorded per-sample losses
+    over the potential work up to ``t`` minus the number of those samples
+    times the optimum objective value. A run whose objective knows its
+    optimum value records these sums; a run without one records NaN, and
+    :func:`build_trace` builds no regret series for it.
     """
-    loss_b = np.cumsum([np.sum(r.loss_sum_processed) for r in records])
-    loss_c = np.cumsum([np.sum(r.loss_sum_potential) for r in records])
-    count_b = np.cumsum([r.global_batch for r in records], dtype=np.int64)
-    count_c = np.cumsum([r.global_potential for r in records], dtype=np.int64)
-    return RegretSeries(processed=loss_b - count_b * optimum_value,
-                        potential=loss_c - count_c * optimum_value,
-                        samples_processed=count_b, samples_potential=count_c)
+    loss = np.cumsum([np.sum(r.loss_sum_potential) for r in records])
+    count = np.cumsum([r.global_potential for r in records], dtype=np.int64)
+    return RegretSeries(potential=loss - count * optimum_value, samples_potential=count)
 
 
 def _holdout_loss(objective, holdout):

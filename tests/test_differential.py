@@ -150,7 +150,7 @@ def node_pass(model, w, x, y, b: int):
 
 
 def reference_run(config):
-    """Per-epoch rows ``(wall, b, a, T, rounds, compute, error, primal, loss_b, loss_c)``."""
+    """Per-epoch rows ``(wall, b, a, T, rounds, compute, error, primal, loss_c)``."""
     n, model = config.graph.n, config.objective
     p = topology.build_consensus_matrix(config.graph, config.scheme).matrix
     primal, dual, wall = np.zeros((n, model.dim)), np.zeros((n, model.dim)), 0.0
@@ -169,14 +169,14 @@ def reference_run(config):
                                                      config.comm_time)
             compute, wall = config.compute_time, t * (config.compute_time + config.comm_time)
         # Without a known optimum only the batch rows are drawn, and no regret is kept.
-        grads, loss_b, loss_c = np.zeros((n, model.dim)), np.zeros(n), np.zeros(n)
+        grads, loss_c = np.zeros((n, model.dim)), np.zeros(n)
         for i in range(n):
             count = int(b[i] + a[i]) if potential else int(b[i])
             if count:
                 lanes = functools.partial(seeding.substream, model.seed, seeding.SAMPLES, i, t)
                 x, y = oracle_draw(model, lanes, count)
                 losses, grads[i] = node_pass(model, primal[i], x, y, int(b[i]))
-                loss_b[i], loss_c[i] = float(np.sum(losses[: b[i]])), float(np.sum(losses))
+                loss_c[i] = float(np.sum(losses))
         if config.rounds == "exact":
             rounds = np.zeros(n, dtype=int)
         elif isinstance(config.rounds, int):
@@ -208,7 +208,7 @@ def reference_run(config):
         primal = np.array([dualavg.primal_update(row, beta, config.radius) for row in z])
         dual = z
         error = float(np.linalg.norm(z - target, axis=1).max())
-        epochs.append((wall, b, a, times, rounds, compute, error, primal, loss_b, loss_c))
+        epochs.append((wall, b, a, times, rounds, compute, error, primal, loss_c))
     return epochs
 
 
@@ -232,7 +232,7 @@ def reference_files(config, holdout, seed: int, mode: str, files: dict) -> tuple
     if model.optimum_value is not None:
         regret, loss, count = [0.0], 0.0, 0
         for e in epochs:
-            loss, count = loss + float(np.sum(e[9])), count + int((e[1] + e[2]).sum())
+            loss, count = loss + float(np.sum(e[8])), count + int((e[1] + e[2]).sum())
             regret.append(loss - count * model.optimum_value)
     files[f"{mode}_seed{seed}.csv"] = csv_bytes(cli.TRACE_HEADER, (
         (t, walls[t], int(e[1].sum()), int((e[1] + e[2]).sum()), int(e[4].max()), e[6],

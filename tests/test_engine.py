@@ -307,12 +307,12 @@ class TestGradientsAndLosses:
     def test_one_pass_per_node_matches_separate_passes_bit_for_bit(self, make_model, tmp_path):
         # The chunked pass against the per-node loop it replaced, with the
         # separate draw, loss and gradient passes as the oracle. Node 1 has
-        # b = 0 < a, nodes 3 and 7 have b = a = 0, node 4 has more rows than
-        # a chunk holds, nodes 5 and 6 fill a chunk exactly, and node 12 is
-        # a chunk alone with no batch. A softmax model has no known optimum,
-        # so its extra-capacity rows are never drawn and its potential loss
-        # sums are NaN; its batch rows are still the first b_i of each
-        # node's b_i + a_i oracle rows.
+        # b = 0 < a, nodes 2 and 10 have a = 0 < b, nodes 3 and 7 have
+        # b = a = 0, node 4 has more rows than a chunk holds, nodes 5 and 6
+        # fill a chunk exactly, and node 12 is a chunk alone with no batch.
+        # A softmax model has no known optimum, so its extra-capacity rows
+        # are never drawn and its loss sums are NaN; its batch rows are still
+        # the first b_i of each node's b_i + a_i oracle rows.
         model = make_model(tmp_path)
         cap = engine.CHUNK_VALUES // model.dim
         b = np.array([5, 0, 1, 0, cap + 3, cap // 2, cap - cap // 2 - 4, 0, 2, 9, 3, 0, 0])
@@ -325,24 +325,21 @@ class TestGradientsAndLosses:
         state = engine.EngineState(primal=rng.standard_normal((n, model.dim)),
                                    dual=np.zeros((n, model.dim)), wall=0.0)
         t = 3
-        grads, loss_b, loss_c = engine._gradients_and_losses(cfg, state, t, b, a,
-                                                             engine._Streams(cfg, 1, 4))
+        grads, loss_c = engine._gradients_and_losses(cfg, state, t, b, a,
+                                                     engine._Streams(cfg, 1, 4))
         want_grads = np.zeros_like(state.primal)
-        want_b, want_c = np.zeros(n), np.zeros(n)
+        want_c = np.zeros(n)
         for i in range(n):
             if b[i] + a[i] == 0:
                 continue
             lanes = functools.partial(seeding.substream, model.seed, seeding.SAMPLES, i, t)
             x, y = oracle_draw(model, lanes, int(b[i] + a[i]))
             w = state.primal[i]
-            losses = oracle_loss_batch(model, w, x, y)
-            want_b[i] = float(np.sum(losses[: b[i]]))
-            want_c[i] = float(np.sum(losses))
+            want_c[i] = float(np.sum(oracle_loss_batch(model, w, x, y)))
             if b[i] > 0:
                 want_grads[i] = oracle_grad_mean(model, w, x[: b[i]], y[: b[i]])
         assert grads.tobytes() == want_grads.tobytes()
-        assert loss_b.tobytes() == want_b.tobytes()
-        assert not grads[[1, 3, 7, 11, 12]].any() and not loss_b[[1, 3, 7, 11, 12]].any()
+        assert not grads[[1, 3, 7, 11, 12]].any()
         if model.optimum_value is None:
             assert np.isnan(loss_c).all()
         else:

@@ -7,8 +7,7 @@ import pytest
 from ambsim import dualavg, engine, metrics, objectives, timing, topology
 
 
-def record(epoch, loss_b, loss_c, b, a, wall_end=None, primal=None, n=2, dim=3):
-    loss_b = np.asarray(loss_b, dtype=float)
+def record(epoch, loss_c, b, a, wall_end=None, primal=None, n=2, dim=3):
     loss_c = np.asarray(loss_c, dtype=float)
     b = np.asarray(b, dtype=int)
     a = np.asarray(a, dtype=int)
@@ -25,7 +24,6 @@ def record(epoch, loss_b, loss_c, b, a, wall_end=None, primal=None, n=2, dim=3):
         consensus_error=0.0,
         empty_batch=bool(b.sum() == 0),
         degenerate_nodes=0,
-        loss_sum_processed=loss_b,
         loss_sum_potential=loss_c,
         primal_after=np.zeros((n, dim)) if primal is None else primal,
     )
@@ -34,22 +32,16 @@ def record(epoch, loss_b, loss_c, b, a, wall_end=None, primal=None, n=2, dim=3):
 def loop_regret(records, optimum_value):
     """The epoch loop ``empirical_regret`` replaced: running sums, one epoch at a time."""
     tau = len(records)
-    processed = np.zeros(tau)
     potential = np.zeros(tau)
-    count_b = np.zeros(tau, dtype=np.int64)
     count_c = np.zeros(tau, dtype=np.int64)
-    acc_b = acc_c = 0.0
-    nb = nc = 0
+    acc_c = 0.0
+    nc = 0
     for k, rec in enumerate(records):
-        acc_b += float(np.sum(rec.loss_sum_processed))
         acc_c += float(np.sum(rec.loss_sum_potential))
-        nb += int(rec.global_batch)
         nc += int(rec.global_potential)
-        processed[k] = acc_b - nb * optimum_value
         potential[k] = acc_c - nc * optimum_value
-        count_b[k] = nb
         count_c[k] = nc
-    return processed, potential, count_b, count_c
+    return potential, count_c
 
 
 class TestEmpiricalRegret:
@@ -67,29 +59,26 @@ class TestEmpiricalRegret:
                 a = rng.integers(0, 4, size=n)
                 lb = rng.uniform(0, 1, size=n) * 10.0 ** rng.uniform(-9, 9, size=n) * (b > 0)
                 lc = lb + rng.uniform(0, 1, size=n) * 10.0 ** rng.uniform(-9, 9, size=n) * (a > 0)
-                records.append(record(t, lb, lc, b, a, n=n))
+                records.append(record(t, lc, b, a, n=n))
             series = metrics.empirical_regret(records, optimum)
-            got = (series.processed, series.potential, series.samples_processed,
-                   series.samples_potential)
+            got = (series.potential, series.samples_potential)
             for mine, want in zip(got, loop_regret(records, optimum)):
                 assert mine.dtype == want.dtype and mine.shape == want.shape
                 assert mine.tobytes() == want.tobytes()
 
     def test_single_sample_example(self):
         # one node, one epoch, one sample with loss 3.0 against optimum 1.0
-        rec = record(1, loss_b=[3.0, 0.0], loss_c=[3.0, 0.0], b=[1, 0], a=[0, 0])
+        rec = record(1, loss_c=[3.0, 0.0], b=[1, 0], a=[0, 0])
         series = metrics.empirical_regret([rec], optimum_value=1.0)
-        assert series.processed[-1] == pytest.approx(2.0)
         assert series.potential[-1] == pytest.approx(2.0)
 
     def test_iterates_at_optimum_give_zero_regret(self):
         model = objectives.make_linear_regression(4, 0.0, seed=1)
         x, y = model.draw(0, 1, 5)
         losses = model.loss_batch(model.w_star, x, y)
-        rec = record(1, loss_b=[losses.sum(), 0.0], loss_c=[losses.sum(), 0.0],
-                     b=[5, 0], a=[0, 0])
+        rec = record(1, loss_c=[losses.sum(), 0.0], b=[5, 0], a=[0, 0])
         series = metrics.empirical_regret([rec], optimum_value=model.optimum_value)
-        assert abs(series.processed[-1]) <= 1e-12
+        assert abs(series.potential[-1]) <= 1e-12
 
     def test_matches_recorded_sums_identity(self):
         rng = np.random.default_rng(0)
@@ -99,18 +88,17 @@ class TestEmpiricalRegret:
             a = rng.integers(0, 3, size=2)
             lb = rng.uniform(0, 10, size=2) * (b > 0)
             lc = lb + rng.uniform(0, 3, size=2) * (a > 0)
-            records.append(record(t, lb, lc, b, a))
+            records.append(record(t, lc, b, a))
         f_star = 0.25
         series = metrics.empirical_regret(records, f_star)
-        total_b = sum(float(r.loss_sum_processed.sum()) for r in records)
-        samples_b = sum(r.global_batch for r in records)
-        assert series.processed[-1] == pytest.approx(total_b - samples_b * f_star, abs=1e-9)
-        assert series.samples_processed[-1] == samples_b
+        total_c = sum(float(r.loss_sum_potential.sum()) for r in records)
+        samples_c = sum(r.global_potential for r in records)
+        assert series.potential[-1] == pytest.approx(total_c - samples_c * f_star, abs=1e-9)
+        assert series.samples_potential[-1] == samples_c
 
     def test_counts_are_cumulative(self):
-        records = [record(t, [1.0, 1.0], [2.0, 2.0], [1, 1], [1, 1]) for t in range(1, 4)]
+        records = [record(t, [2.0, 2.0], [1, 1], [1, 1]) for t in range(1, 4)]
         series = metrics.empirical_regret(records, 0.0)
-        assert list(series.samples_processed) == [2, 4, 6]
         assert list(series.samples_potential) == [4, 8, 12]
 
 
