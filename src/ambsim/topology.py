@@ -6,6 +6,7 @@ call from any number of threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,8 +113,13 @@ def ring_graph(n: int) -> Graph:
     return make_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
+@functools.cache
 def testbed_graph() -> Graph:
-    """The 10-node testbed topology used throughout the bundled experiments."""
+    """The 10-node testbed topology used throughout the bundled experiments.
+
+    The graph is immutable, so it is built and checked once and every call
+    returns that one instance.
+    """
     return make_graph(10, _TESTBED_EDGES)
 
 

@@ -60,6 +60,13 @@ class TestGraph:
         assert g.degree(1) == 6
         assert g.neighbor_lists()[1] == [0, 2, 3, 6, 7, 9]
 
+    def test_testbed_is_built_once_with_its_documented_edges(self):
+        g = topology.testbed_graph()
+        assert topology.testbed_graph() is g
+        assert g == topology.Graph(n=10, edges=frozenset({
+            (1, 9), (0, 9), (8, 9), (5, 9), (5, 8), (4, 5), (3, 5), (0, 5),
+            (0, 1), (1, 2), (1, 3), (1, 6), (1, 7), (6, 7), (3, 7), (2, 3)}))
+
     def test_testbed_connected_by_independent_bfs(self):
         g = topology.testbed_graph()
         assert bfs_connected(g.n, g.edges)
