@@ -268,16 +268,32 @@ def build_objective(section: dict):
                           "more than this host's memory holds") from None
 
 
+@contextmanager
+def _graph_memory(section: dict):
+    """Re-raise a MemoryError from building the graph or its mixing matrix as a ConfigError.
+
+    The error names the key that sizes the graph: ``topology.path`` for an
+    edge list, ``topology.n`` otherwise.
+    """
+    try:
+        yield
+    except MemoryError as exc:
+        key = "topology.path" if section["kind"] == "edge_list" else "topology.n"
+        raise ConfigError(f"key '{key}' gives a graph that, with its mixing matrix, needs more "
+                          f"than this host's memory holds ({exc})") from None
+
+
 def build_graph(section: dict) -> topology.Graph:
     kind = section["kind"]
     if kind == "testbed":
         return topology.testbed_graph()
-    if kind == "complete":
-        return topology.complete_graph(section["n"])
-    if kind == "ring":
-        return topology.ring_graph(section["n"])
-    with _naming("topology.path"):
-        return topology.load_edge_list(section["path"])
+    with _graph_memory(section):
+        if kind == "complete":
+            return topology.complete_graph(section["n"])
+        if kind == "ring":
+            return topology.ring_graph(section["n"])
+        with _naming("topology.path"):
+            return topology.load_edge_list(section["path"])
 
 
 def build_timing(section: dict):
@@ -297,8 +313,8 @@ def build_timing(section: dict):
         return timing.load_timing_trace(section["path"], section["reference_batch"])
 
 
-def _mixing_matrix(config: engine.RunConfig) -> topology.ConsensusMatrix:
-    with _naming("consensus.scheme"):
+def _mixing_matrix(spec: ExperimentSpec, config: engine.RunConfig) -> topology.ConsensusMatrix:
+    with _graph_memory(spec.topology), _naming("consensus.scheme"):
         return topology.build_consensus_matrix(config.graph, config.scheme)
 
 
@@ -475,7 +491,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     # shares one graph, scheme and holdout. So each mode, the mixing matrix and
     # the holdout are made once, and a rejected config leaves no output directory.
     configs = {mode: build_run_config(spec, spec.run["seed"], mode) for mode in modes}
-    matrix = _mixing_matrix(configs[modes[0]])
+    matrix = _mixing_matrix(spec, configs[modes[0]])
     count = spec.run["holdout"]
     try:  # numpy raises ValueError for an array beyond its address range
         holdout = configs[modes[0]].objective.holdout(count) if count else None
@@ -542,7 +558,7 @@ def _cmd_topology(args) -> int:
 def _cmd_bounds(args) -> int:
     spec = parse_config(args.config)
     config = build_run_config(spec, _seeds(spec)[0])
-    matrix = _mixing_matrix(config)
+    matrix = _mixing_matrix(spec, config)
     model = config.objective
     if getattr(model, "w_star", None) is None:
         print("bound constants unavailable for this objective (no analytic minimizer); "

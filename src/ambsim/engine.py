@@ -268,21 +268,21 @@ class _Streams:
         return seeding.generator(self._rounds[epoch - self.first])
 
 
-def _resolve_rounds(config: RunConfig, t: int, streams: _Streams) -> np.ndarray:
+def _consensus(config: RunConfig, t: int, streams: _Streams, messages: np.ndarray):
+    """Each node's averaged row of ``messages``, and the round counts the nodes used.
+
+    Exact averaging gives every node the column means and counts no rounds;
+    otherwise node i reads its row after its own count (see ``RunConfig.rounds``).
+    """
     n = config.graph.n
     if config.rounds == "exact":
-        return np.zeros(n, dtype=int)
+        return np.tile(messages.mean(axis=0), (n, 1)), np.zeros(n, dtype=int)
     if isinstance(config.rounds, int):
-        return np.full(n, config.rounds, dtype=int)
-    _, low, high = config.rounds
-    return streams.rounds(t).integers(low, high + 1, size=n)
-
-
-def _consensus_phase(config: RunConfig, messages: np.ndarray, rounds_per_node: np.ndarray):
-    """Run the consensus rounds; each node reads its row after its own count."""
-    if config.rounds == "exact":
-        return np.tile(messages.mean(axis=0), (len(messages), 1))
-    return average_consensus(config.matrix, messages, rounds_per_node)
+        rounds = np.full(n, config.rounds, dtype=int)
+    else:
+        _, low, high = config.rounds
+        rounds = streams.rounds(t).integers(low, high + 1, size=n)
+    return average_consensus(config.matrix, messages, rounds), rounds
 
 
 def init_state(config: RunConfig) -> EngineState:
@@ -362,52 +362,37 @@ def _gradients_and_losses(config: RunConfig, state: EngineState, t: int,
     return grads, loss_c
 
 
-def _dual_update(config: RunConfig, state: EngineState, t: int,
-                 batch_sizes: np.ndarray, grads: np.ndarray, streams: _Streams):
-    """Consensus over weighted dual messages plus the primal map.
-
-    Returns (primal rows, dual rows, consensus error, rounds used,
-    degenerate count, empty-batch flag).
-    """
+def _epoch(state: EngineState, config: RunConfig, t: int, streams: _Streams, b: np.ndarray,
+           a: np.ndarray, times: np.ndarray, compute: float, wall_end: float):
+    """The epoch after its compute phase: gradients, consensus, normalization, primal map, record."""
     n = config.graph.n
-    duals = state.dual
-    global_batch = int(batch_sizes.sum())
-    rounds_per_node = _resolve_rounds(config, t, streams)
+    grads, loss_c = _gradients_and_losses(config, state, t, b, a, streams)
+    global_batch = int(b.sum())
     degenerate = 0
     if global_batch == 0:
         # No gradients anywhere: carry the duals through an unweighted
         # consensus and skip normalization entirely.
-        z_next = _consensus_phase(config, duals, rounds_per_node)
-        exact = duals.mean(axis=0)
+        dual, rounds_used = _consensus(config, t, streams, state.dual)
+        exact = state.dual.mean(axis=0)
     else:
-        summands = duals + grads
+        summands = state.dual + grads
         # The last column is each node's weight n * b_i: its consensus
         # estimates the global batch.
-        weighted = (n * batch_sizes)[:, None] * np.hstack([summands, np.ones((n, 1))])
-        out = _consensus_phase(config, np.where((batch_sizes > 0)[:, None], weighted, 0.0),
-                               rounds_per_node)
+        weighted = (n * b)[:, None] * np.hstack([summands, np.ones((n, 1))])
+        out, rounds_used = _consensus(config, t, streams,
+                                      np.where((b > 0)[:, None], weighted, 0.0))
         out_msg, out_scalar = out[:, :-1], out[:, -1]
         # Error-free dual: batch-weighted average of dual-plus-gradient.
-        exact = (batch_sizes[:, None] * summands).sum(axis=0) / global_batch
+        exact = (b[:, None] * summands).sum(axis=0) / global_batch
         if config.exact_batch_norm:
-            z_next = out_msg / global_batch
+            dual = out_msg / global_batch
         else:
             # A node that heard from no one with work keeps its dual.
             unheard = out_scalar <= 0.0
             degenerate = int(unheard.sum())
-            z_next = np.where(unheard[:, None], duals,
-                              out_msg / np.where(unheard, 1.0, out_scalar)[:, None])
-    primal = dualavg.primal_update(z_next, dualavg.beta(config.schedule, t + 1), config.radius)
-    worst = float(np.linalg.norm(z_next - exact, axis=1).max())
-    return primal, z_next, worst, rounds_per_node, degenerate, global_batch == 0
-
-
-def _epoch(state: EngineState, config: RunConfig, t: int, streams: _Streams, b: np.ndarray,
-           a: np.ndarray, times: np.ndarray, compute: float, wall_end: float):
-    """The epoch after its compute phase: gradients, consensus, primal map, record."""
-    grads, loss_c = _gradients_and_losses(config, state, t, b, a, streams)
-    primal, dual, err, rounds_used, degenerate, empty = _dual_update(config, state, t, b, grads,
-                                                                     streams)
+            dual = np.where(unheard[:, None], state.dual,
+                            out_msg / np.where(unheard, 1.0, out_scalar)[:, None])
+    primal = dualavg.primal_update(dual, dualavg.beta(config.schedule, t + 1), config.radius)
     record = EpochRecord(
         epoch=t,
         wall_end=wall_end,
@@ -416,10 +401,10 @@ def _epoch(state: EngineState, config: RunConfig, t: int, streams: _Streams, b: 
         batch_sizes=b,
         extra_capacity=a,
         rounds_used=rounds_used,
-        global_batch=int(b.sum()),
+        global_batch=global_batch,
         global_potential=int((b + a).sum()),
-        consensus_error=err,
-        empty_batch=empty,
+        consensus_error=float(np.linalg.norm(dual - exact, axis=1).max()),
+        empty_batch=global_batch == 0,
         degenerate_nodes=degenerate,
         loss_sum_potential=loss_c,
         primal_after=primal,

@@ -129,11 +129,6 @@ class LinearRegressionObjective(_RowModel):
     def holdout(self, count: int):
         return self._draw(count, self.seed, seeding.HOLDOUT)
 
-    def sample_grad(self, w, x, y) -> np.ndarray:
-        """One sample's gradient, the per-sample reference the tests check the row kernel against."""
-        x = np.asarray(x, dtype=float)
-        return (float((x * w).sum()) - float(y)) * x
-
     def loss_and_grad_rows(self, w, x, y, count: int):
         """Per-row losses of every row, and the per-row gradients of the first ``count`` rows.
 
@@ -262,14 +257,6 @@ class MulticlassLogisticObjective(_RowModel):
             total += row
         log_probs -= np.log(total)
         return log_probs
-
-    def sample_grad(self, w, x, y) -> np.ndarray:
-        """One sample's gradient, the per-sample reference the tests check the row kernel against."""
-        weights = np.asarray(w, dtype=float).reshape(self.classes, self.feat_dim)
-        x = np.asarray(x, dtype=float)
-        probs = np.exp(self._log_probs(weights, x[None, :])[:, 0])
-        probs[int(y)] -= 1.0
-        return (probs[:, None] * x[None, :]).reshape(self.dim)
 
     def loss_and_grad_rows(self, w, x, y, count: int):
         """Per-row losses of every row, and the per-row (classes, feat_dim) gradients of the

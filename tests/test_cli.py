@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ambsim import cli, engine, objectives, timing
+from ambsim import cli, engine, objectives, timing, topology
 from test_objectives import loop_estimate_constants
 
 TIMING_TRACE = Path(__file__).parent / "golden" / "timing_trace.csv"
@@ -123,6 +123,13 @@ class TestParsing:
 SOFTMAX = {"kind": "logistic_regression", "classes": 3, "dim": 4, "seed": 3}
 
 
+def labeled_csv(tmp_path, rows):
+    """A ``label,f1,...,fk`` file of ``rows`` for the softmax objective."""
+    path = tmp_path / "labeled.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 def paused_config(tmp_path, outdir, **sections):
     """A small grouped-pause testbed config; ``sections`` update its sections' keys."""
     payload = {
@@ -184,7 +191,6 @@ class TestRunExperiment:
         assert (outdir / "amb_seed99.csv").exists()
 
     def test_mixing_matrix_is_built_once_per_experiment(self, tmp_path, monkeypatch):
-        from ambsim import engine, topology
         calls = []
         build = topology.build_consensus_matrix
 
@@ -214,6 +220,35 @@ class TestRunExperiment:
         assert cli.main(["compare", str(path)]) == 0
         assert len((outdir / "compare.csv").read_text().splitlines()) == 3
         assert calls == [100]
+
+    def test_a_csv_objective_runs_each_listed_seed(self, tmp_path, monkeypatch):
+        # output.seeds overrides both run.seed and AMB_SEED.
+        monkeypatch.setenv("AMB_SEED", "77")
+        outdir = tmp_path / "out"
+        data = labeled_csv(tmp_path, [f"{i % 3},{i},{2 * i % 7},{255 - i}" for i in range(30)])
+        path = full_config(tmp_path, outdir, objective={**SOFTMAX, "csv_path": str(data)},
+                           output={"directory": str(outdir), "seeds": [4, 9]})
+        assert cli.main(["run", str(path)]) == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "amb_seed4.csv", "amb_seed4_nodes.csv", "amb_seed9.csv", "amb_seed9_nodes.csv",
+            "summary.csv"]
+        summary = (outdir / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in summary] == ["4", "9"]
+
+    @pytest.mark.parametrize("rows", [
+        None,
+        ["0,1,2,3", "1,4,5"],
+        ["0,1,2,3", "3,4,5,6"],
+        ["0,1,2,3", "1,4,x,6"],
+    ], ids=["missing-file", "short-row", "label-out-of-range", "non-numeric-cell"])
+    def test_a_bad_csv_objective_names_the_key(self, tmp_path, capsys, rows):
+        data = tmp_path / "missing.csv" if rows is None else labeled_csv(tmp_path, rows)
+        outdir = tmp_path / "out"
+        path = full_config(tmp_path, outdir, objective={**SOFTMAX, "csv_path": str(data)})
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "key 'objective.csv_path'" in err and "Traceback" not in err
+        assert not outdir.exists()
 
     def test_compare_writes_pair_and_comparison(self, tmp_path):
         outdir = tmp_path / "out"
@@ -517,6 +552,17 @@ class TestSubcommands:
         pytest.param("objective.dim", 2**55, {"objective": {**SOFTMAX, "classes": 2}},
                      id="objective.dim-2**55-softmax"),
         pytest.param("run.holdout", 2**61, {}, id="run.holdout-2**61"),
+        ("mode", "sgd", {}),
+        # Metropolis weights on a 4-ring have eigenvalue -1/3.
+        pytest.param("consensus.scheme", "metropolis", {"topology": {"kind": "ring", "n": 4}},
+                     id="consensus.scheme-not-psd"),
+        # The assignment covers the 10 testbed nodes and one more.
+        pytest.param("timing.assignment", [0] * 11,
+                     {"timing": {"kind": "grouped_pause", "group_means": [5.0],
+                                 "assignment": [0] * 10}}, id="timing.assignment-too-long"),
+        # The matched window needs the batch it matches.
+        pytest.param("run.compute_time", "auto",
+                     {"run": {"tau": 5, "radius": 6.0, "seed": 21}}, id="run.compute_time-auto"),
     ])
     def test_invalid_values_name_the_key(self, tmp_path, capsys, key, value, sections):
         path = full_config(tmp_path, tmp_path / "out", **sections)
@@ -667,7 +713,10 @@ class TestSubcommands:
                             "assignment": [0, 0, 0], "base_gradient_time": 1.0},
                  "run": {"compute_time": 2.0, "communication_time": 900000.0}},
          "run.communication_time"),
-    ], ids=["run-window", "run-holdout", "bounds-window", "run-grouped-pause-communication"])
+        # Its dense 20,000 x 20,000 mixing matrix alone needs 2.98 GiB.
+        ("run", {"mode": "amb", "topology": {"kind": "ring", "n": 20000}}, "topology.n"),
+    ], ids=["run-window", "run-holdout", "bounds-window", "run-grouped-pause-communication",
+            "run-ring-matrix"])
     def test_a_run_beyond_an_address_space_limit_names_the_key(self, tmp_path, command,
                                                                sections, key):
         # Each node-epoch of the window configs draws 10^9 samples of d = 8
@@ -692,6 +741,24 @@ class TestSubcommands:
                                 timeout=120)
         assert result.returncode == 1, result.stderr
         assert f"key '{key}'" in result.stderr and "Traceback" not in result.stderr
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare", "bounds"])
+    @pytest.mark.parametrize("graph, failing, key", [
+        ({"kind": "ring", "n": 5}, "ring_graph", "topology.n"),
+        ({"kind": "edge_list", "path": "unread.txt"}, "load_edge_list", "topology.path"),
+        ({"kind": "complete", "n": 5}, "weight_matrix", "topology.n"),
+    ], ids=["ring", "edge-list", "complete-matrix"])
+    def test_a_graph_beyond_host_memory_names_the_key(self, tmp_path, capsys, monkeypatch,
+                                                      command, graph, failing, key):
+        def stub(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(topology, failing, stub)
+        outdir = tmp_path / "out"
+        assert cli.main([command, str(full_config(tmp_path, outdir, topology=graph))]) == 1
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and "7.45 GiB" in err and "Traceback" not in err
         assert not outdir.exists()
 
     def test_a_memory_error_keeps_an_output_directory_it_did_not_create(self, tmp_path,

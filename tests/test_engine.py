@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,7 +264,9 @@ class TestConsensus:
         large = small_config(graph=topology.ring_graph(150), rounds=("uniform", 3, 8))
 
         def resolve(cfg, t):
-            return engine._resolve_rounds(cfg, t, engine._Streams(cfg, 1, 9))
+            cfg = replace(cfg, matrix=topology.build_consensus_matrix(cfg.graph))
+            messages = np.zeros((cfg.graph.n, 1))
+            return engine._consensus(cfg, t, engine._Streams(cfg, 1, 9), messages)[1]
 
         for t in (1, 2, 9):
             few, many = resolve(small, t), resolve(large, t)
