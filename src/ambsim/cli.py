@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -237,12 +238,21 @@ def parse_config(path) -> ExperimentSpec:
 
 
 @contextmanager
-def _naming(key: str):
-    """Re-raise a ValueError or OSError from loading ``key``'s value as a ConfigError naming it."""
+def _naming(key: str, memory: str | None = None, within=()):
+    """Re-raise a failure to load or size ``key``'s value as a ConfigError naming the key.
+
+    Without ``memory``, a ValueError or OSError is named, keeping its message. With it, a
+    MemoryError is named instead, by ``memory`` (the reason in words) and numpy's account of
+    the allocation; with ``within`` too, only one raised inside one of those functions.
+    """
     try:
         yield
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"key '{key}': {exc}") from None
+    except (MemoryError if memory else (ValueError, OSError)) as exc:
+        codes = {fn.__code__ for fn in within}
+        if codes and not any(f.f_code in codes for f, _ in traceback.walk_tb(exc.__traceback__)):
+            raise
+        raise ConfigError(f"key '{key}' {memory} ({exc})" if memory
+                          else f"key '{key}': {exc}") from None
 
 
 def build_objective(section: dict):
@@ -252,7 +262,8 @@ def build_objective(section: dict):
     if values * 8 > np.iinfo(np.intp).max:
         raise ConfigError(f"key 'objective.dim' gives rows of {values} values, "
                           "more than one numpy array can hold")
-    try:
+    with _naming("objective.dim",
+                 f"gives rows of {values} values, more than this host's memory holds"):
         if section["kind"] == "linear_regression":
             return objectives.make_linear_regression(section["dim"], section["noise_var"],
                                                      section["seed"])
@@ -263,31 +274,19 @@ def build_objective(section: dict):
             return make()
         with _naming("objective.csv_path"):
             return make(csv_path=section["csv_path"])
-    except MemoryError:
-        raise ConfigError(f"key 'objective.dim' gives rows of {values} values, "
-                          "more than this host's memory holds") from None
 
 
-@contextmanager
-def _graph_memory(section: dict):
-    """Re-raise a MemoryError from building the graph or its mixing matrix as a ConfigError.
-
-    The error names the key that sizes the graph: ``topology.path`` for an
-    edge list, ``topology.n`` otherwise.
-    """
-    try:
-        yield
-    except MemoryError as exc:
-        key = "topology.path" if section["kind"] == "edge_list" else "topology.n"
-        raise ConfigError(f"key '{key}' gives a graph that, with its mixing matrix, needs more "
-                          f"than this host's memory holds ({exc})") from None
+def _graph_naming(section: dict):
+    """Name a MemoryError from building the graph or its mixing matrix by the graph's key."""
+    return _naming("topology.path" if section["kind"] == "edge_list" else "topology.n",
+                   "gives a graph and mixing matrix larger than this host's memory holds")
 
 
 def build_graph(section: dict) -> topology.Graph:
     kind = section["kind"]
     if kind == "testbed":
         return topology.testbed_graph()
-    with _graph_memory(section):
+    with _graph_naming(section):
         if kind == "complete":
             return topology.complete_graph(section["n"])
         if kind == "ring":
@@ -314,7 +313,7 @@ def build_timing(section: dict):
 
 
 def _mixing_matrix(spec: ExperimentSpec, config: engine.RunConfig) -> topology.ConsensusMatrix:
-    with _graph_memory(spec.topology), _naming("consensus.scheme"):
+    with _graph_naming(spec.topology), _naming("consensus.scheme"):
         return topology.build_consensus_matrix(config.graph, config.scheme)
 
 
@@ -332,13 +331,13 @@ def _resolve_schedule(spec, model, graph, tmodel, radius, compute_time, mode) ->
     offset = spec.schedule["offset"]
     if offset == "auto":
         # The smoothness estimate of estimate_constants, without its variance probes.
-        offset = objectives._probe_slopes(model, 48, model.seed + 1_000_003, radius)[0]
+        with _naming("objective.dim", f"gives rows of {model.dim} values, too many for the 48 "
+                     "probes of the 'auto' schedule.offset in this host's memory"):
+            offset = objectives._probe_slopes(model, 48, model.seed + 1_000_003, radius)[0]
     scale = spec.schedule["work_scale"]
     if scale == "auto":
-        if mode == "fmb":
-            scale = float(spec.run["batch"])
-        else:
-            scale = tmodel.mean_window_batch(compute_time, graph.n)
+        scale = (spec.run["batch"] if mode == "fmb"
+                 else tmodel.mean_window_batch(compute_time, graph.n))
     return dualavg.Schedule(offset=float(offset), work_scale=float(scale))
 
 
@@ -389,9 +388,7 @@ def build_run_config(spec: ExperimentSpec, seed: int, mode: str | None = None) -
     radius = spec.run["radius"]
     if radius == "auto":
         radius = 2.0 * math.sqrt(model.dim) if model.kind == "linear_regression" else 10.0
-    compute_time = None
-    if mode in ("amb", "serial"):
-        compute_time = _resolve_compute_time(spec, graph, tmodel)
+    compute_time = _resolve_compute_time(spec, graph, tmodel) if mode in ("amb", "serial") else None
     if paused:  # a window over the walk cap fails here
         for key, window in (("run.communication_time", spec.run["communication_time"]),
                             ("run.compute_time", compute_time or 0.0)):
@@ -467,21 +464,25 @@ def write_nodes_csv(trace: metrics.RunTrace, path):
                                                   r.rounds_used.tolist(), r.batch_times.tolist()))))
 
 
-def _run(spec: ExperimentSpec, config: engine.RunConfig) -> metrics.RunTrace:
-    """``engine.run``, with a MemoryError named by the key that sizes a node's epoch samples."""
-    try:
-        return engine.run(config)
-    except MemoryError as exc:
-        key, _ = _epoch_rows(spec, config.mode, config.timing, config.graph.n,
-                             config.compute_time or 0.0)
-        raise ConfigError(f"key '{key}' gives a node more samples in one epoch than "
-                          f"this host's memory holds ({exc})") from None
+@contextmanager
+def _run_naming(spec: ExperimentSpec, config: engine.RunConfig):
+    """Name a MemoryError from ``engine.run(config)``, and yield `_epoch_rows`'s key.
+
+    That key names the model's draw and gradient pass, which hold a node's samples of one
+    epoch; ``objective.dim`` names the run's other arrays, which hold one or n model rows.
+    """
+    key, _ = _epoch_rows(spec, config.mode, config.timing, config.graph.n,
+                         config.compute_time or 0.0)
+    with _naming("objective.dim", f"gives rows of {config.objective.dim} values, too many for "
+                 "a run's per-node state in this host's memory"), \
+            _naming(key, "gives a node more samples in one epoch than this host's memory holds",
+                    within=(config.objective.draw_rows, config.objective.loss_and_grad_rows)):
+        yield key
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Execute the spec: one run per seed, paired comparison if requested."""
-    outdir = spec.output["directory"]
-    paired = spec.output["paired"]
+    outdir, paired = spec.output["directory"], spec.output["paired"]
     summary, compare = [], []
     modes = ("amb", "fmb") if paired else (spec.mode,)
     if paired and spec.run["tau"] == 0:
@@ -493,16 +494,15 @@ def run_experiment(spec: ExperimentSpec) -> int:
     configs = {mode: build_run_config(spec, spec.run["seed"], mode) for mode in modes}
     matrix = _mixing_matrix(spec, configs[modes[0]])
     count = spec.run["holdout"]
-    try:  # numpy raises ValueError for an array beyond its address range
+    with _naming("run.holdout", "asks for more samples than this host's memory holds"), \
+            _naming("run.holdout"):  # numpy's ValueError for an array beyond its address range
         holdout = configs[modes[0]].objective.holdout(count) if count else None
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"key 'run.holdout' asks for more samples than one array or "
-                          f"this host's memory holds ({exc})") from None
     for seed in _seeds(spec):
         traces, ends = {}, {}
         for mode in modes:
-            trace = traces[mode] = _run(spec, replace(configs[mode], seed=seed, matrix=matrix,
-                                                      holdout=holdout))
+            config = replace(configs[mode], seed=seed, matrix=matrix, holdout=holdout)
+            with _run_naming(spec, config):
+                trace = traces[mode] = engine.run(config)
             # Made once a run has finished, so a run that fails leaves no empty directory.
             os.makedirs(outdir, exist_ok=True)
             write_trace_csv(trace, os.path.join(outdir, f"{mode}_seed{seed}.csv"))
@@ -525,8 +525,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
 
 def _cmd_run(args) -> int:
-    spec = parse_config(args.config)
-    return run_experiment(spec)
+    return run_experiment(parse_config(args.config))
 
 
 def _cmd_compare(args) -> int:
@@ -535,23 +534,26 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_topology(args) -> int:
-    graph = topology.load_edge_list(args.edgelist)
-    print(f"nodes: {graph.n}")
-    print(f"edges: {len(graph.edges)}")
-    for scheme in topology.SCHEMES:
-        try:
-            cm = topology.build_consensus_matrix(graph, scheme)
-            print(f"lambda2 ({scheme}): {cm.lambda2:.12g}")
-            lam = cm.lambda2
-        except ValueError as exc:
-            print(f"lambda2 ({scheme}): unavailable ({exc})")
-            continue
-        if scheme == "lazy-metropolis":
-            print(f"consensus round bound (Lipschitz constant {args.lipschitz}):")
-            print("  eps        rounds")
-            for eps in (1.0, 0.5, 0.1, 0.01, 0.001):
-                rounds = topology.min_consensus_rounds(graph.n, args.lipschitz, eps, lam)
-                print(f"  {eps:<9g}  {rounds}")
+    try:
+        graph = topology.load_edge_list(args.edgelist)
+        print(f"nodes: {graph.n}")
+        print(f"edges: {len(graph.edges)}")
+        for scheme in topology.SCHEMES:
+            try:
+                lam = topology.build_consensus_matrix(graph, scheme).lambda2
+            except ValueError as exc:
+                print(f"lambda2 ({scheme}): unavailable ({exc})")
+                continue
+            print(f"lambda2 ({scheme}): {lam:.12g}")
+            if scheme == "lazy-metropolis":
+                print(f"consensus round bound (Lipschitz constant {args.lipschitz}):")
+                print("  eps        rounds")
+                for eps in (1.0, 0.5, 0.1, 0.01, 0.001):
+                    rounds = topology.min_consensus_rounds(graph.n, args.lipschitz, eps, lam)
+                    print(f"  {eps:<9g}  {rounds}")
+    except MemoryError as exc:
+        raise ValueError(f"{args.edgelist}: the graph, with its mixing matrix, needs more than "
+                         f"this host's memory holds ({exc})") from None
     return 0
 
 
@@ -564,24 +566,20 @@ def _cmd_bounds(args) -> int:
         print("bound constants unavailable for this objective (no analytic minimizer); "
               "nothing to report")
         return 0
-    trace = _run(spec, replace(config, matrix=matrix))
+    with _run_naming(spec, config) as key:
+        trace = engine.run(replace(config, matrix=matrix))
     if trace.tau and not trace.potential_total:
-        key, _ = _epoch_rows(spec, config.mode, config.timing, config.graph.n,
-                             config.compute_time or 0.0)
         raise ConfigError(f"key '{key}': no node finished a gradient in any epoch, so the "
                           "run did no work and has no regret bound to report")
-    est = objectives.estimate_constants(model, probe_count=64,
-                                        seed=model.seed + 1_000_003, radius=config.radius)
+    with _naming("objective.dim", f"gives rows of {model.dim} values, too many for the 64 "
+                 "probes of the bound constants in this host's memory"):
+        est = objectives.estimate_constants(model, probe_count=64,
+                                            seed=model.seed + 1_000_003, radius=config.radius)
     h_star = 0.5 * float(np.dot(model.w_star, model.w_star))
     constants = metrics.BoundConstants(
-        grad_smoothness=est.grad_smoothness,
-        loss_lipschitz=est.loss_lipschitz,
-        grad_variance=est.grad_variance,
-        diameter=2.0 * config.radius,
-        initial_gap=h_star,
-        h_star=h_star,
-        provenance="estimated (probes) + analytic minimizer",
-    )
+        grad_smoothness=est.grad_smoothness, loss_lipschitz=est.loss_lipschitz,
+        grad_variance=est.grad_variance, diameter=2.0 * config.radius, initial_gap=h_star,
+        h_star=h_star, provenance="estimated (probes) + analytic minimizer")
     print("\n".join(metrics.bound_report(trace, constants).lines()))
     return 0
 

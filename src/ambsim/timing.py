@@ -1,13 +1,14 @@
 """Stochastic compute-time models for workers.
 
-Every model answers the same four calls, which are all the engine and
-the CLI know of timing:
+Every model answers the four calls below. Besides them, the engine reads
+``stream``, the CLI and ``metrics.speedup_measurement`` ``completion_stats``,
+and the CLI a linear-progress model's ``least_batch_time`` and a grouped-pause
+model's ``window_pauses``, ``base_gradient_time`` and ``assignment``:
 
 - ``window_epoch(epoch, rngs, window, comm_time)`` returns the arrays
-  ``(b, a, T)`` of an anytime epoch over nodes ``0..len(rngs)-1``: node
-  i's gradients finished inside the compute window, the gradients it could
-  finish during the communication time that follows, and the time it
-  records.
+  ``(b, a, T)`` of an anytime epoch over nodes ``0..len(rngs)-1``: node i's
+  gradients finished inside the compute window, the gradients it could finish
+  during the communication time that follows, and the time it records.
 - ``batch_epoch(epoch, rngs, counts, comm_time)`` returns the arrays
   ``(duration, a, T)`` of a fixed-batch epoch: node i's time to finish
   ``counts[i]`` gradients, then a_i and T_i as above.

@@ -46,6 +46,30 @@ def full_config(tmp_path, outdir, **extra):
     return path
 
 
+# Model-sized arrays, not samples, outgrow the host: a node draws at most 1.5 samples per epoch.
+MODEL_SIZED = {"mode": "amb", "objective": {"kind": "linear_regression", "dim": 2**21, "seed": 3},
+               "timing": {"kind": "deterministic", "period": 1.0},
+               "schedule": {"offset": 1.0, "work_scale": "auto"},
+               "run": {"tau": 1, "compute_time": 1.0, "communication_time": 0.5}}
+
+ADDRESS_SPACE_LIMIT = pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="only Linux enforces RLIMIT_AS; elsewhere the child would really allocate")
+
+
+def limited_cli(*args, cwd=None):
+    """``python -m ambsim.cli *args`` in a child that may map 2 GB of address space."""
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, "-m", "ambsim.cli", *args], env=env, cwd=cwd,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=120)
+
+
 class TestParsing:
     def test_minimal_config_fills_defaults(self, tmp_path):
         spec = cli.parse_config(minimal_config(tmp_path))
@@ -672,14 +696,21 @@ class TestSubcommands:
             "grouped-pause-communication", "compare-amb", "compare-fmb", "fmb-window", "bounds"])
     def test_a_run_beyond_host_memory_names_the_key(self, tmp_path, capsys, monkeypatch,
                                                     command, sections, failing, key):
-        run = engine.run
+        run, draw_rows = engine.run, objectives.LinearRegressionObjective.draw_rows
+        modes = []
 
-        def stub(config):
-            if config.mode == failing:
-                raise MemoryError("Unable to allocate 5.33 TiB")
+        def run_stub(config):
+            modes.append(config.mode)
             return run(config)
 
-        monkeypatch.setattr(engine, "run", stub)
+        def draw_rows_stub(model, counts, lanes):
+            # The array of a node's samples of one epoch, in the failing mode's run.
+            if modes[-1:] == [failing]:
+                raise MemoryError("Unable to allocate 5.33 TiB")
+            return draw_rows(model, counts, lanes)
+
+        monkeypatch.setattr(engine, "run", run_stub)
+        monkeypatch.setattr(objectives.LinearRegressionObjective, "draw_rows", draw_rows_stub)
         outdir = tmp_path / "out"
         assert cli.main([command, str(full_config(tmp_path, outdir, **sections))]) == 1
         err = capsys.readouterr().err
@@ -699,9 +730,7 @@ class TestSubcommands:
         assert "key 'run.holdout'" in err and "128. GiB" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="only Linux enforces RLIMIT_AS; elsewhere the child would "
-                               "really allocate")
+    @ADDRESS_SPACE_LIMIT
     @pytest.mark.parametrize("command, sections, key", [
         ("run", {"timing": {"kind": "deterministic", "period": 1e-9}}, "timing.period"),
         ("run", {"objective": {"kind": "linear_regression", "dim": 1, "seed": 3},
@@ -715,33 +744,43 @@ class TestSubcommands:
          "run.communication_time"),
         # Its dense 20,000 x 20,000 mixing matrix alone needs 2.98 GiB.
         ("run", {"mode": "amb", "topology": {"kind": "ring", "n": 20000}}, "topology.n"),
+        # A model of 2^24 weights is 128 MiB; its 48 "auto" offset probes need 6 GiB.
+        ("run", {**MODEL_SIZED, "objective": {**MODEL_SIZED["objective"], "dim": 2**24},
+                 "schedule": {"offset": "auto", "work_scale": "auto"}}, "objective.dim"),
+        # The run fits; the 64 probes of the bound constants need 1 GiB for one array.
+        ("bounds", MODEL_SIZED, "objective.dim"),
+        # A node draws 1 sample per epoch; the (3, 2^24 + 1) consensus messages need 384 MiB.
+        ("run", {**MODEL_SIZED, "objective": {**MODEL_SIZED["objective"], "dim": 2**24}},
+         "objective.dim"),
     ], ids=["run-window", "run-holdout", "bounds-window", "run-grouped-pause-communication",
-            "run-ring-matrix"])
+            "run-ring-matrix", "run-auto-offset-probes", "bounds-probes", "run-node-state"])
     def test_a_run_beyond_an_address_space_limit_names_the_key(self, tmp_path, command,
                                                                sections, key):
         # Each node-epoch of the window configs draws 10^9 samples of d = 8
         # (59.6 GiB), the grouped-pause config 900,002 of d = 2000 (13.4 GiB),
         # and the holdout config 2^34 samples of d = 1 (128 GiB), all within
         # numpy's address range; the child may map 2 GB.
-        def limit():
-            import resource
-            resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
-
         outdir = tmp_path / "out"
         path = full_config(tmp_path, outdir, mode="fmb", topology={"kind": "complete", "n": 3})
         payload = json.loads(path.read_text())
         payload.update({name: value for name, value in sections.items() if name != "run"})
         payload["run"].update({"batch": 3, "holdout": 0, **sections.get("run", {})})
         path.write_text(json.dumps(payload))
-        paths = [str(SRC), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-        result = subprocess.run([sys.executable, "-m", "ambsim.cli", command, str(path)],
-                                env=env, preexec_fn=limit, capture_output=True, text=True,
-                                timeout=120)
+        result = limited_cli(command, str(path))
         assert result.returncode == 1, result.stderr
         assert f"key '{key}'" in result.stderr and "Traceback" not in result.stderr
         assert not outdir.exists()
+
+    @ADDRESS_SPACE_LIMIT
+    def test_topology_beyond_an_address_space_limit_names_the_file(self, tmp_path):
+        # The dense 20,000 x 20,000 mixing matrix of a ring needs 2.98 GiB.
+        n = 20000
+        edgefile = tmp_path / "ring.txt"
+        edgefile.write_text("".join([f"{n}\n", *(f"{i} {(i + 1) % n}\n" for i in range(n))]))
+        result = limited_cli("topology", str(edgefile), cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert f"error: {edgefile}" in result.stderr and "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare", "bounds"])
     @pytest.mark.parametrize("graph, failing, key", [
