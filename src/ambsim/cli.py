@@ -251,7 +251,8 @@ def _naming(key: str, memory: str | None = None, within=()):
         codes = {fn.__code__ for fn in within}
         if codes and not any(f.f_code in codes for f, _ in traceback.walk_tb(exc.__traceback__)):
             raise
-        raise ConfigError(f"key '{key}' {memory} ({exc})" if memory
+        detail = f" ({exc})" if str(exc) else ""  # a bare MemoryError has no text
+        raise ConfigError(f"key '{key}' {memory}{detail}" if memory
                           else f"key '{key}': {exc}") from None
 
 
@@ -552,8 +553,9 @@ def _cmd_topology(args) -> int:
                     rounds = topology.min_consensus_rounds(graph.n, args.lipschitz, eps, lam)
                     print(f"  {eps:<9g}  {rounds}")
     except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
         raise ValueError(f"{args.edgelist}: the graph, with its mixing matrix, needs more than "
-                         f"this host's memory holds ({exc})") from None
+                         f"this host's memory holds{detail}") from None
     return 0
 
 

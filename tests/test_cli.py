@@ -782,6 +782,39 @@ class TestSubcommands:
         assert f"error: {edgefile}" in result.stderr and "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
 
+    @ADDRESS_SPACE_LIMIT
+    @pytest.mark.parametrize("command", ["topology", "run"])
+    def test_an_edge_list_of_too_few_edges_fails_at_once(self, tmp_path, command):
+        # One edge cannot connect 300,000,000 nodes; a connectivity walk over
+        # that many nodes would outgrow the 2 GB the child may map.
+        edgefile = tmp_path / "huge.txt"
+        edgefile.write_text("300000000\n0 1\n")
+        outdir = tmp_path / "out"
+        graph = {"kind": "edge_list", "path": str(edgefile)}
+        named = {"topology": (str(edgefile), f"error: {edgefile}"),
+                 "run": (str(full_config(tmp_path, outdir, topology=graph)),
+                         f"key 'topology.path': {edgefile}")}
+        argument, prefix = named[command]
+        result = limited_cli(command, argument, cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert f"{prefix}: graph is not connected" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "topology"])
+    def test_a_memory_error_without_text_adds_no_empty_parentheses(self, tmp_path, capsys,
+                                                                   monkeypatch, command):
+        def stub(path):
+            raise MemoryError()
+
+        monkeypatch.setattr(topology, "load_edge_list", stub)
+        graph = {"kind": "edge_list", "path": "unread.txt"}
+        argument = full_config(tmp_path, tmp_path / "out", topology=graph) \
+            if command == "run" else "unread.txt"
+        assert cli.main([command, str(argument)]) == 1
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith("than this host's memory holds"), err
+
     @pytest.mark.parametrize("command", ["run", "compare", "bounds"])
     @pytest.mark.parametrize("graph, failing, key", [
         ({"kind": "ring", "n": 5}, "ring_graph", "topology.n"),

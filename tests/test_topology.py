@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from decimal import ROUND_CEILING, Decimal, getcontext
@@ -20,19 +21,6 @@ def random_connected_graph(rng, n, extra=0.3):
             if rng.random() < extra:
                 edges.add((i, j))
     return topology.make_graph(n, edges)
-
-
-def row_supports_oracle(p):
-    # One np.flatnonzero per row: the reference the vectorized row supports match.
-    n = p.shape[0]
-    supports = [np.flatnonzero(p[i]) for i in range(n)]
-    k = max(len(cols) for cols in supports)
-    columns = np.tile(np.arange(n), (k, 1))
-    weights = np.zeros((k, n))
-    for i, cols in enumerate(supports):
-        columns[: len(cols), i] = cols
-        weights[: len(cols), i] = p[i, cols]
-    return columns, weights
 
 
 def bfs_connected(n, edges):
@@ -71,9 +59,16 @@ class TestGraph:
         g = topology.testbed_graph()
         assert bfs_connected(g.n, g.edges)
 
-    def test_rejects_disconnected(self):
+    def test_rejects_disconnected(self, monkeypatch):
         with pytest.raises(ValueError, match="not connected"):
             topology.make_graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="not connected"):
+            topology.make_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        # Fewer than n - 1 edges cannot connect n nodes; the walk, which would
+        # build a list per node, must not run.
+        monkeypatch.setattr(topology.Graph, "_is_connected", lambda self: pytest.fail("walked"))
+        with pytest.raises(ValueError, match="not connected"):
+            topology.make_graph(300_000_000, [(0, 1)])
 
     def test_rejects_self_loop_and_out_of_range(self):
         with pytest.raises(ValueError, match="self loop"):
@@ -110,6 +105,18 @@ class TestEdgeListFile:
         with pytest.raises(ValueError, match="expected"):
             topology.load_edge_list(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("3\n0 x\n", ":2: expected 'i j', got '0 x'"),
+        ("4\n0 1\n2 3\n", ": graph is not connected"),
+        ("0\n", ": node count must be positive, got 0"),
+    ], ids=["not-an-integer", "disconnected", "no-nodes"])
+    def test_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            topology.load_edge_list(path)
+        assert str(caught.value).startswith(f"{path}{message}")
+
 
 class TestConsensusMatrix:
     def test_two_node_complete_by_hand(self):
@@ -127,22 +134,31 @@ class TestConsensusMatrix:
         assert cm.matrix[0, 0] == 1.0
         assert cm.lambda2 == 0.0
 
-    @pytest.mark.parametrize("scheme", ["lazy-metropolis"])
+    @pytest.mark.parametrize("scheme", topology.SCHEMES)
     def test_invariants_on_random_graphs(self, scheme):
+        # build_consensus_matrix relies on these holding by construction; a
+        # scheme that is not positive semidefinite on a graph is checked on
+        # its raw weight matrix.
         rng = np.random.default_rng(7)
         for n in (2, 3, 5, 8, 13, 21):
             g = random_connected_graph(rng, n)
-            cm = topology.build_consensus_matrix(g, scheme)
-            p = cm.matrix
+            p = topology.weight_matrix(g, scheme)
             ones = np.ones(n)
             assert np.abs(p @ ones - ones).max() <= 1e-12
             assert np.abs(ones @ p - ones).max() <= 1e-12
-            assert np.linalg.eigvalsh(p)[0] >= -1e-10
-            # support only on diagonal + edges
-            allowed = g.adjacency() + np.eye(n)
-            assert not np.any((p > 0) & (allowed == 0))
-            if n > 1:
-                assert 0.0 <= cm.lambda2 < 1.0
+            assert np.array_equal(p, p.T)
+            assert p.min() >= 0.0
+            allowed = np.eye(n, dtype=bool)
+            for i, j in g.edges:
+                allowed[i, j] = allowed[j, i] = True
+            assert not np.any((p != 0) & ~allowed)
+            if np.linalg.eigvalsh(p)[0] < -1e-10:
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    topology.build_consensus_matrix(g, scheme)
+                continue
+            cm = topology.build_consensus_matrix(g, scheme)
+            assert np.array_equal(cm.matrix, p)
+            assert 0.0 <= cm.lambda2 < 1.0
 
     def test_mean_preservation(self):
         rng = np.random.default_rng(3)
@@ -196,27 +212,26 @@ class TestConsensusMatrix:
     def test_row_supports_list_nonzeros_in_ascending_order(self):
         cm = topology.build_consensus_matrix(topology.testbed_graph())
         assert cm.columns.shape == cm.weights.shape == (7, 10)
-        for i, neighbours in enumerate(topology.testbed_graph().neighbor_lists()):
-            cols = sorted(neighbours + [i])
-            assert list(cm.columns[: len(cols), i]) == cols
-            assert np.array_equal(cm.weights[: len(cols), i], cm.matrix[i, cols])
-            assert not cm.weights[len(cols):, i].any()
         rng = np.random.default_rng(29)
-        empty_row = np.array([[0.5, 0.0, 0.5], [0.0, -0.0, 0.0], [0.5, 0.0, 0.5]])
-        negative = np.array([[0.0, -0.25, 1.25], [-0.25, 0.0, 1.25], [1.25, 1.25, -1.5]])
-        dense_row = np.diag([1.0, 2.0, 3.0, 4.0])
-        dense_row[2] = [-1.0, 0.5, 2.0, 0.25]
-        matrices = [np.ones((1, 1)), np.zeros((1, 1)), np.zeros((3, 3)), empty_row, negative,
-                    dense_row, np.full((5, 5), 0.2)]
-        for n in (2, 7, 16, 40):
-            for density in (0.1, 0.5, 0.9):
-                a = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
-                matrices.append(a + a.T)
-        for p in matrices:
-            got, want = topology.row_supports(p), row_supports_oracle(p)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
+        graphs = [topology.testbed_graph(), topology.make_graph(1, []), topology.ring_graph(2),
+                  topology.ring_graph(9), topology.complete_graph(6)]
+        graphs += [random_connected_graph(rng, n, extra) for n in (2, 7, 16, 40)
+                   for extra in (0.0, 0.1, 0.5)]
+        for g, scheme in itertools.product(graphs, topology.SCHEMES):
+            try:
+                cm = topology.build_consensus_matrix(g, scheme)
+            except ValueError as exc:
+                assert "positive semidefinite" in str(exc)
+                continue
+            # One np.flatnonzero per row is the reference.
+            supports = [np.flatnonzero(row) for row in cm.matrix]
+            k = max(len(cols) for cols in supports)
+            assert cm.columns.shape == cm.weights.shape == (k, g.n), (g, scheme)
+            assert cm.columns.dtype == np.arange(1).dtype and cm.weights.dtype == np.float64
+            for i, cols in enumerate(supports):
+                assert np.array_equal(cm.columns[:, i], np.r_[cols, [i] * (k - len(cols))])
+                want = np.r_[cm.matrix[i, cols], np.zeros(k - len(cols))]
+                assert cm.weights[:, i].tobytes() == want.tobytes()
 
     def test_one_eigensolve_per_build(self, monkeypatch):
         calls = []
